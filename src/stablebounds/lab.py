@@ -11,6 +11,12 @@ are finite sums, not estimates. The module checks the gap/sum-of-g sandwich
 |E g_i g_j| <= 4*gamma^2, the variance shape bound, and compares empirical
 gap quantiles against every closed-form generalization bound.
 
+All of them run through one batched replace-one kernel, ``_replace_one``,
+on the learner's array form ``LearnerSpec.batch_losses``; the four shipped
+learners have one. Its sums run left to right, so its floats equal those of
+the per-example reference ``replace_one_terms``, which serves learners
+without an array form and datasets off the support.
+
 Learners must be deterministic; randomized rules would break the
 replace-one bookkeeping and are rejected by ``check_deterministic``.
 """
@@ -18,16 +24,22 @@ replace-one bookkeeping and are rejected by ``check_deterministic``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 from math import sqrt
 from typing import Callable
 
 import numpy as np
 
-from .bounds import (BoundInputs, generalization_bound, tail_from_moments,
-                     variance_bound)
+from .bounds import (BoundInputs, ceil_log2, generalization_bound,
+                     tail_from_moments, variance_bound)
 
 Predictor = Callable[[object], object]
+
+# Float64 cells (examples x support points^2 x datasets) in one block of the
+# replace-one kernel: bounds its temporaries at about 0.5 MB each, whatever
+# n and the number of datasets.
+_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -71,6 +83,14 @@ class LearnerSpec:
     is an optional fast path for refitting with a single example replaced;
     it must agree with a full refit to float precision (the tests enforce
     1e-12 on the shipped rules).
+
+    ``batch_losses(idx, dist, refits)``, optional, is the array form the
+    replace-one kernel runs on. Given the support indices of ``reps``
+    datasets, one per column of ``idx`` (shape (n, reps)), it returns the
+    loss of each fit at each support point, shape (K, reps), and if
+    ``refits`` that of each refit, shape (n, K, K, reps): [i, k, j, r] is
+    the loss at point j after example i of dataset r is replaced by point k.
+    Its floats must equal those of ``fit``, ``replace_one`` and ``loss``.
     """
 
     name: str
@@ -79,6 +99,7 @@ class LearnerSpec:
     loss_bound: float
     analytic_gamma: Callable[[int], float] | None = None
     replace_one: Callable[[Dataset, Predictor, int, Example], Predictor] | None = None
+    batch_losses: Callable[[np.ndarray, FiniteDistribution, bool], tuple] | None = None
 
     def __post_init__(self):
         if self.loss_bound < 0:
@@ -137,43 +158,95 @@ def gap_loo(spec: LearnerSpec, dataset: Dataset, dist: FiniteDistribution) -> fl
     return n * (risk(spec, h, dist) - loo)
 
 
+def replace_one_terms(spec: LearnerSpec, dataset: Dataset,
+                      dist: FiniteDistribution) -> np.ndarray:
+    """Reference per-example path: the terms q_k * (risk(h) - loss(h(x_i),
+    y_i)) of h = the fit with z_i replaced by z_k, shape (n, K), one scalar
+    refit each. It takes any learner and any dataset; the tests hold the
+    batched kernel to it float for float, for the order-dependent memorizer
+    too."""
+    base = spec.fit(dataset)
+    base_risk = risk(spec, base, dist)
+    out = np.empty((len(dataset), len(dist.support)))
+    for i, e_i in enumerate(dataset):
+        for k, (example, q) in enumerate(zip(dist.support, dist.probs)):
+            if example == e_i:
+                h, h_risk = base, base_risk
+            else:
+                h = refit(spec, dataset, base, i, example)
+                h_risk = risk(spec, h, dist)
+            out[i, k] = q * (h_risk - spec.loss(h(e_i.x), e_i.y))
+    return out
+
+
+def _ordered_sum(a: np.ndarray, axis: int = 0):
+    """0.0 + a[0] + a[1] + ... along ``axis``: the order of the per-example
+    loops (``ndarray.sum`` may add pairwise, which moves the last bits)."""
+    return reduce(np.add, np.moveaxis(a, axis, 0), 0.0)
+
+
+def _replace_one(spec: LearnerSpec, dist: FiniteDistribution, idx: np.ndarray,
+                 refits: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """The batched replace-one kernel on the datasets with support indices
+    ``idx`` (shape (n, reps), one per column): their gaps n * (risk -
+    empirical risk) and, if ``refits``, the terms q_k * (risk(h) - loss(h(x_i),
+    y_i)) of h = the fit with z_i replaced by z_k, shape (n, K, reps).
+    Learners without an array form run ``replace_one_terms`` per dataset."""
+    n = idx.shape[0]
+    if spec.batch_losses is None:
+        datasets = [tuple(dist.support[k] for k in col) for col in idx.T.tolist()]
+        gaps = np.array([gap(spec, ds, dist) for ds in datasets])
+        if not refits:
+            return gaps, None
+        return gaps, np.stack([replace_one_terms(spec, ds, dist) for ds in datasets], axis=-1)
+    base, refit_losses = spec.batch_losses(idx, dist, refits)
+    q = np.asarray(dist.probs)[:, None]
+    emp = _ordered_sum(np.take_along_axis(base, idx, axis=0)) / n
+    gaps = n * (_ordered_sum(q * base) - emp)
+    if not refits:
+        return gaps, None
+    # q weighs axis 2 (test point j) of the losses, then axis 1 (replacement k)
+    own = np.take_along_axis(refit_losses, idx[:, None, None, :], axis=2)[:, :, 0]
+    return gaps, q * (_ordered_sum(q * refit_losses, axis=2) - own)
+
+
+def _draws(dist: FiniteDistribution, n: int, reps: int, rng: np.random.Generator):
+    """Support indices of ``reps`` seeded datasets as (rows, idx) blocks, idx
+    of shape (n, len(rows)); the random stream of one ``dist.sample(rng, n)``
+    per dataset."""
+    k = len(dist.support)
+    block = max(1, _BLOCK_CELLS // (n * k * k))
+    probs = np.asarray(dist.probs)
+    for start in range(0, reps, block):
+        idx = rng.choice(k, size=(min(block, reps - start), n), p=probs)
+        yield slice(start, start + len(idx)), np.ascontiguousarray(idx.T)
+
+
+def _terms(spec: LearnerSpec, dataset: Dataset, dist: FiniteDistribution) -> np.ndarray:
+    """The replace-one terms of one dataset, shape (n, K): by the kernel
+    when it can take them, else by the reference."""
+    if spec.batch_losses is None or not dataset or any(e not in dist.support for e in dataset):
+        return replace_one_terms(spec, dataset, dist)
+    idx = np.array([[dist.support.index(e)] for e in dataset])
+    return _replace_one(spec, dist, idx)[1][:, :, 0]
+
+
 def g_i_exact(spec: LearnerSpec, dataset: Dataset, dist: FiniteDistribution, i: int) -> float:
     """Exact replace-one function value at coordinate i (both expectations
     are finite sums over the support)."""
     n = len(dataset)
     if not 0 <= i < n:
         raise IndexError(f"index {i} out of range for n={n}")
-    base = spec.fit(dataset)
-    xi, yi = dataset[i].x, dataset[i].y
-    total = 0.0
-    for example, q in zip(dist.support, dist.probs):
-        h = base if example == dataset[i] else refit(spec, dataset, base, i, example)
-        total += q * (risk(spec, h, dist) - spec.loss(h(xi), yi))
-    return total
+    return float(_ordered_sum(_terms(spec, dataset, dist)[i]))
 
 
 def g_values(spec: LearnerSpec, dataset: Dataset, dist: FiniteDistribution,
              max_refits: int = 1_000_000) -> list[float]:
     """All n replace-one values, sharing one base fit across coordinates."""
-    n = len(dataset)
-    work = n * len(dist.support)
+    work = len(dataset) * len(dist.support)
     if work > max_refits:
         raise ValueError(f"support too large: {work} refits exceed cap {max_refits}")
-    base = spec.fit(dataset)
-    base_risk = risk(spec, base, dist)
-    loss = spec.loss
-    out = []
-    for i, e_i in enumerate(dataset):
-        xi, yi = e_i.x, e_i.y
-        acc = 0.0
-        for example, q in zip(dist.support, dist.probs):
-            if example == e_i:
-                acc += q * (base_risk - loss(base(xi), yi))
-            else:
-                h = refit(spec, dataset, base, i, example)
-                acc += q * (risk(spec, h, dist) - loss(h(xi), yi))
-        out.append(acc)
-    return out
+    return _ordered_sum(_terms(spec, dataset, dist), axis=1).tolist()
 
 
 def gap_sample(spec: LearnerSpec, dist: FiniteDistribution, n: int, seed: int) -> GapSample:
@@ -184,6 +257,12 @@ def gap_sample(spec: LearnerSpec, dist: FiniteDistribution, n: int, seed: int) -
                      gap_loo=gap_loo(spec, ds, dist),
                      g_values=tuple(g_values(spec, ds, dist)),
                      seed=seed)
+
+
+def _gamma_or_analytic(spec: LearnerSpec, n: int, gamma: float | None) -> float:
+    if gamma is None and spec.analytic_gamma is None:
+        raise ValueError(f"{spec.name} has no analytic gamma; pass one explicitly")
+    return spec.analytic_gamma(n) if gamma is None else gamma
 
 
 @dataclass(frozen=True)
@@ -236,42 +315,19 @@ def sandwich_sweep(spec: LearnerSpec, dist: FiniteDistribution, n: int,
     gamma defaults to the learner's analytic constant; pass an estimated
     value (and say so in gamma_mode) only when no constant is provable.
     """
-    if gamma is None:
-        if spec.analytic_gamma is None:
-            raise ValueError(f"{spec.name} has no analytic gamma; pass one explicitly")
-        gamma = spec.analytic_gamma(n)
+    gamma = _gamma_or_analytic(spec, n, gamma)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     bound = 2.0 * gamma * n
-    violations = 0
-    max_slack = 0.0
-    max_excess = -np.inf
-    support = dist.support
-    probs = np.asarray(dist.probs)
-    loss = spec.loss
-    for _ in range(reps):
-        idx = rng.choice(len(support), size=n, p=probs)
-        ds = tuple(support[int(j)] for j in idx)
-        base = spec.fit(ds)
-        base_risk = risk(spec, base, dist)
-        emp = empirical_risk(spec, base, ds)
-        gap_val = n * (base_risk - emp)
-        sum_g = 0.0
-        for i, e_i in enumerate(ds):
-            xi, yi = e_i.x, e_i.y
-            for example, q in zip(support, dist.probs):
-                if example == e_i:
-                    sum_g += q * (base_risk - loss(base(xi), yi))
-                else:
-                    h = refit(spec, ds, base, i, example)
-                    sum_g += q * (risk(spec, h, dist) - loss(h(xi), yi))
-        slack = abs(abs(gap_val) - abs(sum_g))
-        max_slack = max(max_slack, slack)
-        max_excess = max(max_excess, slack - bound)
-        if slack > bound + 1e-12:
-            violations += 1
+    slack = np.empty(reps)
+    for rows, idx in _draws(dist, n, reps, rng):
+        gaps, terms = _replace_one(spec, dist, idx)
+        sum_g = _ordered_sum(terms.reshape(-1, idx.shape[1]))   # over (i, k), i-major
+        slack[rows] = np.abs(np.abs(gaps) - np.abs(sum_g))
     return SandwichSweep(learner=spec.name, n=n, reps=reps, gamma=gamma,
-                         gamma_mode=gamma_mode, violations=violations,
-                         max_slack=max_slack, max_excess=float(max_excess))
+                         gamma_mode=gamma_mode,
+                         violations=int(np.count_nonzero(slack > bound + 1e-12)),
+                         max_slack=float(np.max(slack, initial=0.0)),
+                         max_excess=float(np.max(slack - bound, initial=-np.inf)))
 
 
 @dataclass(frozen=True)
@@ -374,10 +430,7 @@ def correlation_check(spec: LearnerSpec, dist: FiniteDistribution, n: int,
         raise ValueError(f"reps must be >= 1000, got {reps}")
     if n < 2:
         raise ValueError(f"need n >= 2 for index pairs, got {n}")
-    if gamma is None:
-        if spec.analytic_gamma is None:
-            raise ValueError(f"{spec.name} has no analytic gamma; pass one explicitly")
-        gamma = spec.analytic_gamma(n)
+    gamma = _gamma_or_analytic(spec, n, gamma)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     pair_count = min(n_pairs, n * (n - 1) // 2)
     pairs = set()
@@ -385,25 +438,18 @@ def correlation_check(spec: LearnerSpec, dist: FiniteDistribution, n: int,
         i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
         pairs.add((int(i), int(j)))
     pairs = sorted(pairs)
-    products = {pair: [] for pair in pairs}
-    gaps = []
-    for _ in range(reps):
-        ds = dist.sample(rng, n)
-        base = spec.fit(ds)
-        base_risk = risk(spec, base, dist)
-        gaps.append(n * (base_risk - empirical_risk(spec, base, ds)))
-        for (i, j) in pairs:
-            gi = _g_single(spec, ds, dist, i, base, base_risk)
-            gj = _g_single(spec, ds, dist, j, base, base_risk)
-            products[(i, j)].append(gi * gj)
+    products = np.empty((len(pairs), reps))
+    gaps = np.empty(reps)
+    for rows, idx in _draws(dist, n, reps, rng):
+        gaps[rows], terms = _replace_one(spec, dist, idx)
+        g = _ordered_sum(terms, axis=1)
+        products[:, rows] = [g[i] * g[j] for i, j in pairs]
     pair_reports = []
-    for (i, j) in pairs:
-        vals = np.asarray(products[(i, j)])
+    for (i, j), vals in zip(pairs, products):
         est = float(vals.mean())
         se = float(vals.std(ddof=1) / sqrt(reps))
         pair_reports.append(PairCorrelation(i=i, j=j, estimate=est, stderr=se,
                                             bound=4.0 * gamma ** 2 + 3.0 * se))
-    gaps = np.asarray(gaps)
     var = float(gaps.var(ddof=1))
     centered_sq = (gaps - gaps.mean()) ** 2
     var_se = float(centered_sq.std(ddof=1) / sqrt(reps))
@@ -412,18 +458,6 @@ def correlation_check(spec: LearnerSpec, dist: FiniteDistribution, n: int,
         gap_variance=var, gap_variance_stderr=var_se,
         gap_variance_bound=variance_bound(n, gamma, spec.loss_bound),
     )
-
-
-def _g_single(spec, ds, dist, i, base, base_risk):
-    e_i = ds[i]
-    acc = 0.0
-    for example, q in zip(dist.support, dist.probs):
-        if example == e_i:
-            acc += q * (base_risk - spec.loss(base(e_i.x), e_i.y))
-        else:
-            h = refit(spec, ds, base, i, example)
-            acc += q * (risk(spec, h, dist) - spec.loss(h(e_i.x), e_i.y))
-    return acc
 
 
 @dataclass(frozen=True)
@@ -469,16 +503,13 @@ def gap_quantiles(spec: LearnerSpec, dist: FiniteDistribution, n: int,
     """
     if reps < 1000:
         raise ValueError(f"reps must be >= 1000, got {reps}")
-    if gamma is None:
-        if spec.analytic_gamma is None:
-            raise ValueError(f"{spec.name} has no analytic gamma; pass one explicitly")
-        gamma = spec.analytic_gamma(n)
+    gamma = _gamma_or_analytic(spec, n, gamma)
     gaps = collect_gaps(spec, dist, n, reps, seed)
     abs_gaps = np.abs(gaps)
     L = spec.loss_bound
     rows = []
     a_coef = 4.0 * L * sqrt(n)                                   # sqrt(p) coefficient
-    b_coef = 24.0 * sqrt(2.0) * n * gamma * _ceil_log2(n)        # p coefficient
+    b_coef = 24.0 * sqrt(2.0) * n * gamma * ceil_log2(n)         # p coefficient
     for delta in deltas:
         inputs = BoundInputs(n=n, gamma=gamma, L=L, delta=delta)
         q = float(np.quantile(abs_gaps, 1.0 - delta, method="higher"))
@@ -501,19 +532,10 @@ def collect_gaps(spec: LearnerSpec, dist: FiniteDistribution, n: int,
                  reps: int, seed: int) -> np.ndarray:
     """Scaled gaps over ``reps`` seeded replicates (one fit each)."""
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    support = dist.support
-    probs = np.asarray(dist.probs)
     out = np.empty(reps)
-    for r in range(reps):
-        idx = rng.choice(len(support), size=n, p=probs)
-        ds = tuple(support[int(j)] for j in idx)
-        h = spec.fit(ds)
-        out[r] = n * (risk(spec, h, dist) - empirical_risk(spec, h, ds))
+    for rows, idx in _draws(dist, n, reps, rng):
+        out[rows] = _replace_one(spec, dist, idx, refits=False)[0]
     return out
-
-
-def _ceil_log2(n: int) -> int:
-    return max((n - 1).bit_length(), 1)
 
 
 def check_deterministic(spec: LearnerSpec, dist: FiniteDistribution, n: int,
@@ -580,6 +602,14 @@ def constant_learner(value: float = 0.0, loss=zero_one_loss,
                      loss_bound: float = 1.0) -> LearnerSpec:
     """Ignores the data entirely; uniformly stable with gamma = 0."""
     predictor = _ConstantPredictor(value)
+
+    def batch_losses(idx, dist, refits):
+        n, reps = idx.shape
+        losses = np.array([loss(value, e.y) for e in dist.support], dtype=float)[:, None]
+        k = len(losses)
+        return (np.broadcast_to(losses, (k, reps)),
+                np.broadcast_to(losses, (n, k, k, reps)) if refits else None)
+
     return LearnerSpec(
         name="constant",
         fit=lambda ds: predictor,
@@ -587,6 +617,7 @@ def constant_learner(value: float = 0.0, loss=zero_one_loss,
         loss_bound=loss_bound,
         analytic_gamma=lambda n: 0.0,
         replace_one=lambda ds, h, i, e: predictor,
+        batch_losses=batch_losses,
     )
 
 
@@ -599,6 +630,20 @@ def _mean_learner(name: str, lam: float) -> LearnerSpec:
     def replace_one(ds, h, i, e):
         return _MeanPredictor(h.mean + (e.y - ds[i].y) / len(ds), shrink)
 
+    def predict(mean):
+        return np.minimum(1.0, np.maximum(0.0, mean / shrink))
+
+    def batch_losses(idx, dist, refits):
+        n = idx.shape[0]
+        ys = _labels(dist)
+        held = ys[idx]
+        mean = _ordered_sum(held) / n
+        base = np.abs(predict(mean) - ys[:, None])
+        if not refits:
+            return base, None
+        moved = mean + (ys[:, None] - held[:, None, :]) / n    # [i, k, r]: z_i -> z_k
+        return base, np.abs(predict(moved)[:, :, None, :] - ys[:, None])
+
     # labels in [0,1], absolute loss: replacing one label moves the clipped,
     # shrunk mean by at most 1/(n*(1+lam)), and the loss is 1-Lipschitz
     return LearnerSpec(
@@ -608,6 +653,7 @@ def _mean_learner(name: str, lam: float) -> LearnerSpec:
         loss_bound=1.0,
         analytic_gamma=lambda n: 1.0 / (n * shrink),
         replace_one=replace_one,
+        batch_losses=batch_losses,
     )
 
 
@@ -632,13 +678,44 @@ def memorizer_learner(default=0.0) -> LearnerSpec:
         table = {e.x: e.y for e in reversed(ds)}   # first occurrence wins
         return _MemorizerPredictor(table, default)
 
+    def batch_losses(idx, dist, refits):
+        n, reps = idx.shape
+        ys = _labels(dist)
+        same_x = np.array([[a.x == b.x for b in dist.support] for a in dist.support])
+        # at[j, i, r]: example i of dataset r lies at x_j. The all-True
+        # position n makes argmax return n for an x the dataset lacks.
+        at = same_x[:, idx]
+        end = np.ones((len(ys), 1, reps), dtype=bool)
+        first = np.argmax(np.concatenate([at, end], axis=1), axis=1)    # [j, r]
+        labels = np.vstack([ys[idx], np.full(reps, default)])  # row n: the default
+        recalled = np.take_along_axis(labels, first, axis=0)
+        base = np.abs(recalled - ys[:, None])
+        if not refits:
+            return base, None
+        at &= np.arange(n)[:, None] != first[:, None, :]
+        second = np.argmax(np.concatenate([at, end], axis=1), axis=1)
+        runner_up = np.take_along_axis(labels, second, axis=0)
+        # refit [i, k, j, r], z_i -> z_k, recalls at x_j: y_k if z_k lies at
+        # x_j and no earlier example does; else the first example's label,
+        # or the second's when the first was z_i
+        i = np.arange(n)[:, None, None, None]
+        pred = np.where(same_x[:, :, None],
+                        np.where(first < i, recalled, ys[:, None, None]),
+                        np.where(first == i, runner_up, recalled))
+        return base, np.abs(pred - ys[:, None])
+
     return LearnerSpec(
         name="memorizer",
         fit=fit,
         loss=absolute_loss,
         loss_bound=1.0,
         analytic_gamma=lambda n: 1.0,
+        batch_losses=batch_losses,
     )
+
+
+def _labels(dist: FiniteDistribution) -> np.ndarray:
+    return np.array([e.y for e in dist.support], dtype=float)
 
 
 def bernoulli_labels(p: float = 0.5, x=0.0) -> FiniteDistribution:

@@ -7,6 +7,7 @@ are printed next to every assertion so regressions are visible.
 
 import math
 import time
+import zlib
 from itertools import product
 
 import numpy as np
@@ -173,7 +174,7 @@ def test_criterion_05_sandwich_zero_violations():
     for spec, dist in learners:
         for n in (10, 50, 100):
             sweep = sandwich_sweep(spec, dist, n=n, reps=10_000,
-                                   seed=hash((spec.name, n)) & 0xFFFF)
+                                   seed=zlib.crc32(f"{spec.name}/{n}".encode()) & 0xFFFF)
             total_violations += sweep.violations
             worst = max(worst, sweep.max_excess)
     elapsed = time.perf_counter() - t0

@@ -201,6 +201,15 @@ class TestGoldenFile:
         assert code == 0
         assert out.read_bytes() == (DATA / "chaos_reference.csv").read_bytes()
 
+    def test_learn_reference_reproduces_shipped_output(self, tmp_path):
+        # all four learners x n in {10, 50}, reps 2000, seed 7: the sampled
+        # datasets, gaps, quantiles and sandwich slacks byte for byte
+        out = tmp_path / "learn.csv"
+        code = run_main(["learn", "--config", DATA / "learn_reference.json",
+                         "--out", out])
+        assert code == 0
+        assert out.read_bytes() == (DATA / "learn_reference.csv").read_bytes()
+
 
 class TestJsonFormat:
     def test_json_round_trip(self, tmp_path):

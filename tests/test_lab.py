@@ -8,22 +8,27 @@ exactly 1/2, the empirical risk is 2K(n-K)/n^2, and therefore
     gap = n/2 - 2K(n-K)/n = 2(K - n/2)^2 / n.
 """
 
+import dataclasses
 import math
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stablebounds.lab import (Example, FiniteDistribution, GapSample,
-                              LearnerSpec, absolute_loss, bernoulli_labels,
+                              LearnerSpec, _draws, _replace_one,
+                              absolute_loss, bernoulli_labels,
                               check_deterministic, clipped_mean_learner,
                               collect_gaps, constant_learner,
                               correlation_check, empirical_risk,
                               estimate_gamma, four_point, g_i_exact, g_values,
                               gap, gap_loo, gap_quantiles, gap_sample,
                               labelled_pair, memorizer_learner, refit, replace,
-                              risk, sandwich_check, sandwich_sweep,
-                              shrunk_mean_learner, zero_one_loss)
+                              replace_one_terms, risk, sandwich_check,
+                              sandwich_sweep, shrunk_mean_learner,
+                              zero_one_loss)
 
 BERN = bernoulli_labels(0.5)
 PAIR = labelled_pair(0.5)
@@ -335,3 +340,80 @@ class TestFourPoint:
         assert h(1.0) == 1.0
         assert risk(spec, h, four_point()) == pytest.approx(
             0.4 * 1.0 + 0.1 * 0.0 + 0.2 * 1.0 + 0.3 * 0.0)
+
+
+SHIPPED = {"constant": constant_learner,
+           "clipped_mean": clipped_mean_learner,
+           "shrunk_mean": lambda: shrunk_mean_learner(1.0),
+           "memorizer": memorizer_learner}
+DISTRIBUTIONS = {"bernoulli_labels": bernoulli_labels,
+                 "labelled_pair": labelled_pair,
+                 "four_point": lambda p: four_point()}
+
+
+def reference_of(spec):
+    """The same learner without its array form: every call then runs the
+    per-example reference path."""
+    return dataclasses.replace(spec, batch_losses=None)
+
+
+class TestKernelMatchesReference:
+    """The batched kernel and the per-example reference give equal floats
+    (``==``, not approx) for every shipped learner and distribution."""
+
+    @pytest.mark.parametrize("dist_name", sorted(DISTRIBUTIONS))
+    @pytest.mark.parametrize("learner", sorted(SHIPPED))
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1),
+           p=st.floats(0.05, 0.95))
+    def test_gaps_terms_and_g_values(self, learner, dist_name, n, seed, p):
+        spec, dist = SHIPPED[learner](), DISTRIBUTIONS[dist_name](p)
+        ref = reference_of(spec)
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+        for _, idx in _draws(dist, n, 4, rng):
+            gaps, terms = _replace_one(spec, dist, idx)
+            ref_gaps, ref_terms = _replace_one(ref, dist, idx)
+            assert np.array_equal(gaps, ref_gaps)
+            assert np.array_equal(terms, ref_terms)
+            for r in range(idx.shape[1]):
+                ds = tuple(dist.support[k] for k in idx[:, r])
+                assert gaps[r] == gap(spec, ds, dist)
+                g = g_values(spec, ds, dist)
+                assert g == g_values(ref, ds, dist)
+                assert g == [sum(row) for row in replace_one_terms(spec, ds, dist).tolist()]
+                assert (sandwich_check(spec, ds, dist, 1.0)
+                        == sandwich_check(ref, ds, dist, 1.0))
+        for reps in (1, 9):     # a one-dataset block is summed in order too
+            assert np.array_equal(collect_gaps(spec, dist, n, reps, seed),
+                                  collect_gaps(ref, dist, n, reps, seed))
+            assert (sandwich_sweep(spec, dist, n, reps, seed, gamma=1.0)
+                    == sandwich_sweep(ref, dist, n, reps, seed, gamma=1.0))
+
+    def test_memorizer_conflicting_labels(self):
+        # x = 0 carries both labels; the first occurrence decides, so the
+        # replace-one refits depend on the order of the examples
+        spec, dist = memorizer_learner(), four_point()
+        ds = (Example(1.0, 0.0), Example(0.0, 1.0), Example(0.0, 0.0),
+              Example(1.0, 1.0), Example(0.0, 1.0))
+        g = g_values(spec, ds, dist)
+        assert g == g_values(reference_of(spec), ds, dist)
+        assert g != g_values(spec, ds[::-1], dist)[::-1]
+        assert [g_i_exact(spec, ds, dist, i) for i in range(len(ds))] == g
+
+    def test_correlation_check_matches(self):
+        spec = shrunk_mean_learner(0.5)
+        assert (correlation_check(spec, four_point(), 6, 1000, 3)
+                == correlation_check(reference_of(spec), four_point(), 6, 1000, 3))
+
+    def test_dataset_off_the_support_uses_reference(self):
+        spec = clipped_mean_learner()
+        ds = dataset_of_labels([0, 1]) + (Example(0.0, 0.25),)
+        g = g_values(spec, ds, BERN)
+        assert g == g_values(reference_of(spec), ds, BERN)
+        # refits of z_3 = (0, 1/4) predict 1/3 and 2/3; every risk is 1/2
+        assert g[2] == pytest.approx(0.5 - 0.5 * (1 / 12 + 5 / 12), abs=1e-12)
+
+    def test_empty_sweep(self):
+        sweep = sandwich_sweep(clipped_mean_learner(), BERN, n=5, reps=0, seed=1)
+        assert (sweep.violations, sweep.max_slack, sweep.max_excess) == (0, 0.0, -math.inf)
+        assert collect_gaps(clipped_mean_learner(), BERN, n=5, reps=0, seed=1).shape == (0,)
