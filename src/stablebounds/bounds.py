@@ -17,7 +17,7 @@ bound, evaluated as 1 when n = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, exp, log, log2, sqrt
+from math import exp, log, sqrt
 from typing import Mapping
 
 import numpy as np
@@ -39,10 +39,10 @@ def log_or_one(x: float) -> float:
 
 
 def ceil_log2(n: int) -> int:
-    """ceil(log2 n), evaluated as 1 for n = 1."""
+    """ceil(log2 n), evaluated as 1 for n = 1; exact in integer arithmetic."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return max(ceil(log2(n)), 1)
+    return max((n - 1).bit_length(), 1)
 
 
 def _require_nonneg(**params: float) -> None:

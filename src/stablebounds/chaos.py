@@ -23,13 +23,7 @@ from math import sqrt
 
 import numpy as np
 
-from .oracle import (ENUMERATION_CAP, SignFunction, collapse_lp,
-                     log_binomial_weights, sign_matrix)
-
-# Matches the worst float drift of the identity sum_i g_i == closed form at
-# enumeration scale; the spec-level invariant (1e-12 absolute on enumerated
-# inputs) is asserted separately by the test suite.
-_IDENTITY_RTOL = 1e-12
+from .oracle import SignFunction, collapse_lp, log_binomial_weights, sign_matrix
 
 
 @dataclass(frozen=True)
@@ -107,22 +101,13 @@ def chaos_g(i: int, z, params: ChaosParams) -> float:
 
 
 def chaos_sum(z, params: ChaosParams) -> float:
-    """sum_i g_i(z) via the closed form M*S + (beta/2)*S^2 - (beta/2)*n.
-
-    The closed form is checked against the direct sum of the g_i on every
-    call (tolerance 1e-12 relative to the family's a-priori magnitude).
-    """
+    """sum_i g_i(z) via the closed form M*S + (beta/2)*S^2 - (beta/2)*n
+    (the identity with the direct sum of ``chaos_g`` is tested separately)."""
     zz = np.asarray(z, dtype=np.float64)
     if zz.shape != (params.n,):
         raise ValueError(f"z must have shape ({params.n},), got {zz.shape}")
     s = float(zz.sum())
-    closed = params.M * s + 0.5 * params.beta * s * s - 0.5 * params.beta * params.n
-    direct = sum(chaos_g(i, zz, params) for i in range(params.n))
-    tol = _IDENTITY_RTOL * max(1.0, params.n * params.uniform_bound)
-    if abs(direct - closed) > tol:
-        raise ArithmeticError(
-            f"chaos sum identity violated: direct={direct!r} closed={closed!r}")
-    return closed
+    return params.M * s + 0.5 * params.beta * s * s - 0.5 * params.beta * params.n
 
 
 def chaos_sum_function(params: ChaosParams) -> SignFunction:
@@ -158,21 +143,15 @@ def verify_chaos_conditions(params: ChaosParams) -> ChaosConditionsReport:
 
     For every coordinate i the check enumerates the 2^(n-1) assignments of
     the remaining coordinates and both values of z_i; all four violations
-    are exactly 0 for this family.
+    are exactly 0 for this family. The enumeration holds ``sign_matrix(n - 1)``,
+    so n is capped at 21.
     """
     n, M, beta = params.n, params.M, params.beta
-    if n > ENUMERATION_CAP:
-        raise ValueError(f"n={n} exceeds enumeration cap {ENUMERATION_CAP}")
     worst_center = 0.0
     worst_mean = 0.0
     worst_bdiff = 0.0
     worst_unif = 0.0
     expected_max = params.uniform_bound
-    if n == 1:
-        # no other coordinates: g_0 = M*z_0
-        worst_mean = abs(M - M)
-        worst_unif = abs(M - expected_max)
-        return ChaosConditionsReport(0.0, worst_mean, 0.0, worst_unif)
     others = sign_matrix(n - 1)                      # assignments of Z_{-i}
     t = others.sum(axis=1, dtype=np.float64)         # sum over j != i
     for i in range(n):

@@ -109,6 +109,8 @@ def _coerce(key: str, value):
         iv = int(value)
         if iv != float(value):
             raise ConfigError(f"{key} must be an integer, got {value!r}")
+        if iv < 1:
+            raise ConfigError(f"{key} must be >= 1, got {iv}")
         return iv
     return float(value)
 
@@ -292,6 +294,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _json_value(value):
+    """Non-finite floats (e.g. lower_ratio off its p range) become null."""
+    if isinstance(value, float) and not np.isfinite(value):
+        return None
+    return value
+
+
 def render(command: str, rows: list[dict], config: dict, fmt: str) -> str:
     header = _HEADERS[command]
     provenance = None
@@ -311,8 +320,8 @@ def render(command: str, rows: list[dict], config: dict, fmt: str) -> str:
         doc = {"command": command}
         if provenance is not None:
             doc["provenance"] = provenance
-        doc["rows"] = [{col: row[col] for col in header} for row in rows]
-        return json.dumps(doc, indent=2, allow_nan=True) + "\n"
+        doc["rows"] = [{col: _json_value(row[col]) for col in header} for row in rows]
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
     raise ConfigError(f"unknown format {fmt!r}")
 
 

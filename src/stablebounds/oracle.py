@@ -3,10 +3,16 @@
 Ground truth for every moment claim in this package comes from three routes
 that are kept deliberately independent of each other:
 
-* ``enumerate_lp`` -- full enumeration of {-1,+1}^n (capped at n = 26);
+* ``enumerate_lp`` -- full enumeration of {-1,+1}^n, streamed in row
+  chunks up to n = 26;
 * ``collapse_lp``  -- exact binomial weights for functions that factor
   through the coordinate sum S = sum(Z_i), usable at any n;
-* ``mc_lp``        -- seeded, scheduling-independent Monte Carlo.
+* ``mc_lp``        -- seeded, scheduling-independent Monte Carlo; a
+  ``MomentSpec`` describes only such a run.
+
+``sign_matrix`` holds all of {-1,+1}^n at once and is capped at n = 20, so
+checks that need the whole matrix (the partition verifiers) stop there, and
+the chaos hypotheses, which enumerate n - 1 coordinates, at n = 21.
 
 Also provides the two reference moment functionals for weighted Rademacher
 sums (Hitczenko) and for the all-ones off-diagonal Rademacher quadratic form
@@ -26,7 +32,7 @@ from scipy.special import gammaln
 ENUMERATION_CAP = 26   # 2**26 ~ 6.7e7 evaluations keeps the oracle interactive
 MC_BLOCK = 4096        # replicate block size; fixed so streams never depend on scheduling
 _ENUM_CHUNK = 1 << 16
-_CACHED_ARITY = 20     # sign matrices up to 2**20 x 20 (~21 MB) are worth caching
+_CACHED_ARITY = 20     # sign matrices up to 2**20 x 20 (~21 MB) are cached; also their cap
 _LOG2 = log(2.0)
 
 
@@ -49,19 +55,16 @@ class SignFunction:
 
 @dataclass(frozen=True)
 class MomentSpec:
-    """How to compute a moment: exact enumeration, binomial collapse, or MC."""
+    """A seeded Monte Carlo moment for ``mc_lp``: order p, replicates, seed."""
 
     p: float
-    method: str = "enumerate"
-    reps: int = 0
+    reps: int
     seed: int = 0
 
     def __post_init__(self):
         if self.p < 1:
             raise ValueError(f"p must be >= 1, got {self.p}")
-        if self.method not in ("enumerate", "collapse", "montecarlo"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.method == "montecarlo" and self.reps < 100:
+        if self.reps < 100:
             raise ValueError(f"montecarlo requires reps >= 100, got {self.reps}")
 
 
@@ -103,7 +106,9 @@ def weighted_sum_function(weights) -> SignFunction:
 
 @lru_cache(maxsize=4)
 def _cached_sign_matrix(n: int) -> np.ndarray:
-    return _sign_rows(n, 0, 1 << n)
+    m = _sign_rows(n, 0, 1 << n)
+    m.flags.writeable = False           # shared by every caller of this arity
+    return m
 
 
 def _sign_rows(n: int, start: int, stop: int) -> np.ndarray:
@@ -114,20 +119,35 @@ def _sign_rows(n: int, start: int, stop: int) -> np.ndarray:
 
 
 def sign_matrix(n: int) -> np.ndarray:
-    """All 2**n sign vectors as an (2**n, n) matrix of +-1 (n <= CAP)."""
+    """All 2**n sign vectors as a read-only (2**n, n) matrix of +-1 (n <= 20)."""
+    if n > _CACHED_ARITY:
+        raise ValueError(f"arity {n} exceeds sign matrix cap {_CACHED_ARITY}")
+    return _cached_sign_matrix(n)
+
+
+def _abs_eval(f: SignFunction, rows: np.ndarray) -> np.ndarray:
+    return np.abs(np.asarray(f.eval(rows), dtype=np.float64))
+
+
+def _abs_blocks(f: SignFunction):
+    """|f| over {-1,+1}^n in lexicographic row blocks: the cached matrix as
+    one block up to n = 20, ``_ENUM_CHUNK``-row slices up to the cap."""
+    n = f.arity
     if n > ENUMERATION_CAP:
         raise ValueError(f"arity {n} exceeds enumeration cap {ENUMERATION_CAP}")
     if n <= _CACHED_ARITY:
-        return _cached_sign_matrix(n)
-    return _sign_rows(n, 0, 1 << n)
+        yield _abs_eval(f, sign_matrix(n))
+        return
+    total = 1 << n
+    for start in range(0, total, _ENUM_CHUNK):
+        yield _abs_eval(f, _sign_rows(n, start, min(start + _ENUM_CHUNK, total)))
 
 
 def _pairwise_sum(parts: list[float]) -> float:
-    """Range-ordered pairwise reduction; result is independent of how many
-    workers produced the partials, as long as their order is fixed."""
+    """Range-ordered pairwise reduction of one or more partials; result is
+    independent of how many workers produced them, as long as their order
+    is fixed."""
     vals = list(parts)
-    if not vals:
-        return 0.0
     while len(vals) > 1:
         vals = [vals[i] + vals[i + 1] if i + 1 < len(vals) else vals[i]
                 for i in range(0, len(vals), 2)]
@@ -138,20 +158,7 @@ def enumerate_lp(f: SignFunction, p: float) -> float:
     """Exact (2^-n * sum_z |f(z)|^p)^(1/p) over the full hypercube."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    n = f.arity
-    if n > ENUMERATION_CAP:
-        raise ValueError(f"arity {n} exceeds enumeration cap {ENUMERATION_CAP}")
-    total = 1 << n
-    if n <= _CACHED_ARITY:
-        vals = np.abs(np.asarray(f.eval(sign_matrix(n)), dtype=np.float64))
-        mean = float(np.mean(vals ** p))
-    else:
-        parts = []
-        for start in range(0, total, _ENUM_CHUNK):
-            rows = _sign_rows(n, start, min(start + _ENUM_CHUNK, total))
-            vals = np.abs(np.asarray(f.eval(rows), dtype=np.float64))
-            parts.append(float(np.sum(vals ** p)))
-        mean = _pairwise_sum(parts) / total
+    mean = _pairwise_sum([float(np.sum(v ** p)) for v in _abs_blocks(f)]) / (1 << f.arity)
     return mean ** (1.0 / p)
 
 
@@ -194,7 +201,7 @@ def _mc_values(f: SignFunction, reps: int, seed: int) -> np.ndarray:
         key = np.uint64(seed) ^ np.uint64(start)
         rng = np.random.Generator(np.random.Philox(key=key))
         rows = (2 * rng.integers(0, 2, size=(stop - start, f.arity), dtype=np.int8) - 1)
-        out[start:stop] = np.abs(np.asarray(f.eval(rows), dtype=np.float64))
+        out[start:stop] = _abs_eval(f, rows)
     return out
 
 
@@ -209,8 +216,6 @@ def mc_lp(f: SignFunction, spec: MomentSpec) -> MonteCarloNorm:
     The error summary is the min/median/max of the 20 equal-batch estimates;
     for a converged run the batch spread brackets the enumeration value.
     """
-    if spec.method != "montecarlo":
-        raise ValueError(f"mc_lp requires method='montecarlo', got {spec.method!r}")
     vals = _mc_values(f, spec.reps, spec.seed)
     powers = vals ** spec.p
     estimate = float(np.mean(powers)) ** (1.0 / spec.p)
@@ -231,15 +236,8 @@ def empirical_tail(f: SignFunction, t: float, reps: int = 100_000, seed: int = 0
     if t < 0:
         raise ValueError(f"threshold must be >= 0, got {t}")
     if f.arity <= ENUMERATION_CAP:
-        total = 1 << f.arity
-        if f.arity <= _CACHED_ARITY:
-            vals = np.abs(np.asarray(f.eval(sign_matrix(f.arity)), dtype=np.float64))
-            return float(np.count_nonzero(vals >= t)) / total
-        hits = [float(np.count_nonzero(
-            np.abs(np.asarray(f.eval(_sign_rows(f.arity, a, min(a + _ENUM_CHUNK, total))),
-                              dtype=np.float64)) >= t))
-            for a in range(0, total, _ENUM_CHUNK)]
-        return _pairwise_sum(hits) / total
+        hits = [float(np.count_nonzero(v >= t)) for v in _abs_blocks(f)]
+        return _pairwise_sum(hits) / (1 << f.arity)
     if reps < 100:
         raise ValueError(f"reps must be >= 100, got {reps}")
     vals = _mc_values(f, reps, seed)

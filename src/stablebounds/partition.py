@@ -32,7 +32,7 @@ import numpy as np
 
 from .bounds import dyadic_sum_moment_bound
 from .chaos import ChaosParams
-from .oracle import ENUMERATION_CAP, SignFunction, sign_matrix
+from .oracle import SignFunction, sign_matrix
 
 _SQRT2 = sqrt(2.0)
 GENERIC_CAP = 12   # nested enumeration blows up past desk scale
@@ -153,31 +153,29 @@ class TelescopeReport:
         return self.max_deviation <= tol
 
 
-def _block_sums(tree: PartitionTree, rows: np.ndarray) -> list[np.ndarray]:
-    """Per-level coordinate sums over every block, padded coords as zero.
+def _enumerated(params: ChaosParams):
+    """The partition tree, every sign vector as a float row, the row sums, and
+    per-level block sums: for level l an array of shape (2**(k-l), 2**n) whose
+    b-th row sums z_j over block b (padded coordinates count as zero).
 
-    Returns, for each level l, an array of shape (2**(k-l), m) whose b-th row
-    is sum of z_j over block b (restricted to real coordinates).
+    Holds the whole of ``sign_matrix(n)``, so n is capped at 20.
     """
-    m, n = rows.shape
-    level0 = np.zeros((tree.n_padded, m), dtype=np.float64)
+    n = params.n
+    tree = build_partition(n)
+    rows = sign_matrix(n).astype(np.float64)
+    level0 = np.zeros((tree.n_padded, len(rows)), dtype=np.float64)
     level0[:n] = rows.T
     sums = [level0]
     for _ in range(tree.k):
         prev = sums[-1]
         sums.append(prev[0::2] + prev[1::2])
-    return sums
+    return tree, rows, rows.sum(axis=1), sums
 
 
 def verify_telescoping(params: ChaosParams) -> TelescopeReport:
     """Check the telescoping identity on every sign vector and index."""
     n = params.n
-    if n > ENUMERATION_CAP:
-        raise ValueError(f"n={n} exceeds enumeration cap {ENUMERATION_CAP}")
-    tree = build_partition(n)
-    rows = sign_matrix(n).astype(np.float64)
-    total = rows.sum(axis=1)
-    sums = _block_sums(tree, rows)
+    tree, rows, total, sums = _enumerated(params)
     worst = 0.0
     for i in range(n):
         zi = rows[:, i]
@@ -227,12 +225,7 @@ def verify_level_bounds(params: ChaosParams, p: float) -> LevelBoundsReport:
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
     n = params.n
-    if n > ENUMERATION_CAP:
-        raise ValueError(f"n={n} exceeds enumeration cap {ENUMERATION_CAP}")
-    tree = build_partition(n)
-    rows = sign_matrix(n).astype(np.float64)
-    total = rows.sum(axis=1)
-    sums = _block_sums(tree, rows)
+    tree, rows, total, sums = _enumerated(params)
     beta = params.beta
 
     def lp(values: np.ndarray) -> float:

@@ -8,7 +8,8 @@ import pytest
 
 from stablebounds.bounds import (BoundInputs, BoundValue, EXPLICIT,
                                  GENERALIZATION_KINDS, SHAPE,
-                                 capped_moment_bound, classical_moment_bound,
+                                 capped_moment_bound, ceil_log2,
+                                 classical_moment_bound,
                                  dyadic_sum_moment_bound,
                                  fit_tail_coefficients, generalization_bound,
                                  log_or_one, moments_from_tail,
@@ -105,6 +106,13 @@ class TestDyadicSumMomentBound:
     def test_rejects_p_below_two(self):
         with pytest.raises(ValueError, match="p must be"):
             dyadic_sum_moment_bound(1.5, 4, 1.0, 0.0)
+
+    @pytest.mark.parametrize("k", [1, 2, 49, 52, 62])
+    def test_ceil_log2_exact_at_powers_of_two(self, k):
+        # in floats log2(2**k + 1) rounds to k from k = 49 on, so ceil(log2 n)
+        # would drop the + 1; the factor is computed on integers
+        assert ceil_log2(2 ** k) == k
+        assert ceil_log2(2 ** k + 1) == k + 1
 
 
 class TestCappedMomentBound:

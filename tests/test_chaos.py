@@ -83,6 +83,19 @@ class TestVerifyConditions:
         with pytest.raises(ValueError, match="cap"):
             verify_chaos_conditions(ChaosParams(27, 1.0, 1.0))
 
+    def test_rejects_n_above_matrix_cap(self):
+        # the enumeration of the n - 1 other coordinates holds sign_matrix(n - 1)
+        with pytest.raises(ValueError, match="cap"):
+            verify_chaos_conditions(ChaosParams(22, 1.0, 1.0))
+
+    @pytest.mark.parametrize("M,beta", [(0.0, 1.0), (1.0, 0.0), (2.5, 3.0)])
+    def test_single_coordinate(self, M, beta):
+        # no other coordinates: g_0 = M*z_0, and every violation is 0
+        report = verify_chaos_conditions(ChaosParams(1, M, beta))
+        assert (report.conditional_centering, report.conditional_mean,
+                report.bounded_difference, report.uniform_bound) == (0.0, 0.0, 0.0, 0.0)
+        assert report.passed
+
 
 class TestChaosLp:
     def test_constant_magnitude_family(self):

@@ -75,6 +75,17 @@ class TestConfigHandling:
     def test_missing_command(self):
         assert run_main([]) == 1
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_learn_rejects_n_below_one(self, n, capsys):
+        assert run_main(["learn", "--learner", "clipped_mean", "--n", n,
+                         "--delta", "0.1", "--reps", "1000", "--seed", "1"]) == 1
+        assert f"n must be >= 1, got {n}" in capsys.readouterr().err
+
+    def test_partition_rejects_n_above_matrix_cap(self, capsys):
+        assert run_main(["partition", "--n", "21", "--M", "1", "--beta", "1",
+                         "--p", "2"]) == 1
+        assert "cap" in capsys.readouterr().err
+
     def test_unknown_learner(self):
         assert run_main(["learn", "--learner", "svm", "--n", "10",
                          "--delta", "0.1", "--reps", "1000", "--seed", "1"]) == 1
@@ -220,3 +231,15 @@ class TestJsonFormat:
         assert doc["command"] == "bounds"
         assert doc["rows"][0]["single_log"] == pytest.approx(233.5356, abs=1e-3)
         assert doc["rows"][0]["ok"] is True
+
+    def test_non_finite_values_are_null(self, tmp_path):
+        # lower_ratio is undefined for p < 8; strict JSON has no NaN literal
+        out = tmp_path / "chaos.json"
+        assert run_main(["chaos", "--n", "4", "--M", "1", "--beta", "1", "--p", "2",
+                         "--format", "json", "--out", out]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        doc = json.loads(out.read_text(), parse_constant=reject)
+        assert doc["rows"][0]["lower_ratio"] is None

@@ -107,14 +107,12 @@ class TestCollapseLp:
 
 class TestMonteCarlo:
     def test_constant_is_exact_with_zero_spread(self):
-        est = mc_lp(constant_function(4, 3.0), MomentSpec(p=2, method="montecarlo",
-                                                          reps=1000, seed=7))
+        est = mc_lp(constant_function(4, 3.0), MomentSpec(p=2, reps=1000, seed=7))
         assert est.value == pytest.approx(3.0, abs=0)
         assert est.spread == 0.0
 
     def test_single_coordinate_is_exact(self):
-        est = mc_lp(coordinate_function(6, 1), MomentSpec(p=2, method="montecarlo",
-                                                          reps=2000, seed=7))
+        est = mc_lp(coordinate_function(6, 1), MomentSpec(p=2, reps=2000, seed=7))
         assert est.value == pytest.approx(1.0, abs=0)
         assert est.batch_median == 1.0
 
@@ -122,7 +120,7 @@ class TestMonteCarlo:
         f = sum_function(16)
         exact = enumerate_lp(f, 2)
         assert exact == pytest.approx(4.0, rel=1e-12)
-        est = mc_lp(f, MomentSpec(p=2, method="montecarlo", reps=100_000, seed=3))
+        est = mc_lp(f, MomentSpec(p=2, reps=100_000, seed=3))
         assert abs(est.batch_median - exact) <= 3 * est.spread
 
     @pytest.mark.parametrize("f,p", [
@@ -133,21 +131,17 @@ class TestMonteCarlo:
     ])
     def test_median_within_three_spreads(self, f, p):
         exact = enumerate_lp(f, p)
-        est = mc_lp(f, MomentSpec(p=p, method="montecarlo", reps=40_000, seed=8))
+        est = mc_lp(f, MomentSpec(p=p, reps=40_000, seed=8))
         assert abs(est.batch_median - exact) <= 3 * est.spread
 
     def test_same_seed_same_result(self):
         f = sum_function(10)
-        spec = MomentSpec(p=3, method="montecarlo", reps=5000, seed=42)
+        spec = MomentSpec(p=3, reps=5000, seed=42)
         assert mc_lp(f, spec).value == mc_lp(f, spec).value
-
-    def test_requires_montecarlo_method(self):
-        with pytest.raises(ValueError, match="montecarlo"):
-            mc_lp(sum_function(3), MomentSpec(p=2, method="enumerate"))
 
     def test_rejects_few_reps(self):
         with pytest.raises(ValueError, match="reps"):
-            MomentSpec(p=2, method="montecarlo", reps=99)
+            MomentSpec(p=2, reps=99)
 
 
 class TestEmpiricalTail:
@@ -236,3 +230,15 @@ class TestSignMatrix:
         assert set(np.unique(m)) == {-1, 1}
         # rows are distinct
         assert len({tuple(r) for r in m.tolist()}) == 32
+
+    def test_cached_matrix_is_read_only(self):
+        m = sign_matrix(5)
+        with pytest.raises(ValueError):
+            m[0, 0] = 1
+        assert sign_matrix(5)[0, 0] == -1
+
+    def test_rejects_arity_above_matrix_cap(self):
+        # the whole matrix is held only up to n = 20; enumerate_lp streams
+        # beyond that (TestEnumerateLp.test_streamed_path_beyond_cache)
+        with pytest.raises(ValueError, match="cap"):
+            sign_matrix(21)

@@ -181,6 +181,10 @@ class TestVerifyTelescoping:
         assert report.max_deviation <= 1e-12
         assert report.passed()
 
+    def test_rejects_n_above_matrix_cap(self):
+        with pytest.raises(ValueError, match="cap"):
+            verify_telescoping(ChaosParams(21, 1.0, 1.0))
+
 
 class TestVerifyLevelBounds:
     def test_two_point_term_norm(self):
@@ -219,6 +223,10 @@ class TestVerifyLevelBounds:
     def test_rejects_p_below_two(self):
         with pytest.raises(ValueError, match="p must be"):
             verify_level_bounds(ChaosParams(4, 1.0, 1.0), 1.0)
+
+    def test_rejects_n_above_matrix_cap(self):
+        with pytest.raises(ValueError, match="cap"):
+            verify_level_bounds(ChaosParams(21, 1.0, 1.0), 2.0)
 
 
 class TestTermNormClosedForm:
