@@ -7,8 +7,9 @@ the command line and the command line wins. Grid points execute in a thread
 pool, but rows are keyed to their position in the sorted grid, so output
 files are byte-identical for any thread count.
 
-Exit codes: 0 all assertions in the run passed, 1 configuration error,
-2 assertion failure.
+Exit codes: 0 all assertions in the run passed, 1 configuration error
+(including inputs whose arithmetic leaves the float range, such as an
+OverflowError), 2 assertion failure.
 """
 
 from __future__ import annotations
@@ -271,6 +272,8 @@ def run(config: dict) -> tuple[list[dict], int]:
         raise
     except (ValueError, IndexError) as exc:
         raise ConfigError(str(exc)) from exc
+    except ArithmeticError as exc:      # a value left the float range
+        raise ConfigError(f"{type(exc).__name__}: {exc}") from exc
     rows = [row for group in nested for row in group]
     exit_code = 0 if all(row["ok"] for row in rows) else 2
     return rows, exit_code

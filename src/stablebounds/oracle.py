@@ -162,10 +162,17 @@ def enumerate_lp(f: SignFunction, p: float) -> float:
     return mean ** (1.0 / p)
 
 
-def log_binomial_weights(n: int) -> np.ndarray:
-    """log of C(n,k) * 2^-n for k = 0..n."""
+@lru_cache(maxsize=8)
+def _cached_log_binomial_weights(n: int) -> np.ndarray:
     k = np.arange(n + 1, dtype=np.float64)
-    return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1) - n * _LOG2
+    w = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1) - n * _LOG2
+    w.flags.writeable = False           # shared by every caller of this n
+    return w
+
+
+def log_binomial_weights(n: int) -> np.ndarray:
+    """log of C(n,k) * 2^-n for k = 0..n, as a read-only array."""
+    return _cached_log_binomial_weights(n)
 
 
 def collapse_lp(g: Callable[[np.ndarray], np.ndarray], n: int, p: float) -> float:

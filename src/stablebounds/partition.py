@@ -18,9 +18,13 @@ For the chaos family the conditional expectations have closed forms
 and every step of the decomposition is checkable by exact enumeration:
 per-term norms against 2*sqrt(p*2^l)*beta, block sums against
 6*sqrt(2)*p*2^l*beta, level sums against 6*sqrt(2)*p*2^k*beta, and the
-assembled chain against the dyadic sum moment bound. A slow generic
-conditional-expectation path (nested enumeration) is kept alongside the
-closed form as an independent cross-check.
+assembled chain against the dyadic sum moment bound. The enumeration is
+coordinate-major: each block sum over all 2^n sign vectors is one contiguous
+row (z_i itself at level 0), and blocks of padding alone are not stored.
+Every term of a block has the same norm, (beta/2)*||sibling sum||_p, since
+|z_i| = 1. Norms whose |v|^p leaves the float range are taken scaled by
+max|v|. A slow generic conditional-expectation path (nested enumeration) is
+kept alongside the closed form as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -154,38 +158,56 @@ class TelescopeReport:
 
 
 def _enumerated(params: ChaosParams):
-    """The partition tree, every sign vector as a float row, the row sums, and
-    per-level block sums: for level l an array of shape (2**(k-l), 2**n) whose
-    b-th row sums z_j over block b (padded coordinates count as zero).
+    """The partition tree and per-level block sums over the enumeration: for
+    level l an array of shape (blocks, 2**n) whose b-th row sums z_j over
+    block b. Only blocks that hold a real index are stored; a block of
+    padding alone sums to 0.
 
-    Holds the whole of ``sign_matrix(n)``, so n is capped at 20.
+    The arrays are coordinate-major, so z_i over every sign vector is the
+    contiguous row ``sums[0][i]`` and S = sum_i z_i is ``sums[k][0]`` (exact:
+    every block sum is a small integer). Holds the whole of
+    ``sign_matrix(n)``, so n is capped at 20.
     """
-    n = params.n
-    tree = build_partition(n)
-    rows = sign_matrix(n).astype(np.float64)
-    level0 = np.zeros((tree.n_padded, len(rows)), dtype=np.float64)
-    level0[:n] = rows.T
-    sums = [level0]
+    tree = build_partition(params.n)
+    sums = [np.ascontiguousarray(sign_matrix(params.n).T, dtype=np.float64)]
     for _ in range(tree.k):
         prev = sums[-1]
-        sums.append(prev[0::2] + prev[1::2])
-    return tree, rows, rows.sum(axis=1), sums
+        pairs = prev[0::2].copy()       # an odd last block has only padding beside it
+        pairs[:len(prev) // 2] += prev[1::2]
+        sums.append(pairs)
+    return tree, sums
 
 
 def verify_telescoping(params: ChaosParams) -> TelescopeReport:
     """Check the telescoping identity on every sign vector and index."""
     n = params.n
-    tree, rows, total, sums = _enumerated(params)
+    tree, sums = _enumerated(params)
+    total = sums[-1][0]
     worst = 0.0
     for i in range(n):
-        zi = rows[:, i]
-        g_i = params.M * zi + 0.5 * params.beta * zi * (total - zi)
-        acc = np.zeros(len(rows))
+        zi = sums[0][i]
+        half_zi = 0.5 * params.beta * zi          # shared by g_i and every term
+        g_i = params.M * zi + half_zi * (total - zi)
+        acc = np.zeros(len(zi))
         for l in range(tree.k):
-            acc += 0.5 * params.beta * zi * sums[l][(i >> l) ^ 1]
+            sib = (i >> l) ^ 1
+            if sib < len(sums[l]):                # a padding sibling adds 0
+                acc += half_zi * sums[l][sib]
         dev = float(np.max(np.abs(acc - (g_i - params.M * zi))))
         worst = max(worst, dev)
     return TelescopeReport(n=n, max_deviation=worst)
+
+
+def _lp(values: np.ndarray, p: float) -> float:
+    """(mean |v|^p)^(1/p), scaled by max|v| where |v|^p leaves the float range."""
+    a = np.abs(values)
+    with np.errstate(over="ignore"):
+        mean = np.mean(a ** p)
+    if not (np.isfinite(mean) and mean > 0):
+        top = a.max()
+        if 0 < top < np.inf:            # |v|^p overflowed or underflowed
+            return float(top * np.mean((a / top) ** p) ** (1.0 / p))
+    return float(mean ** (1.0 / p))
 
 
 @dataclass(frozen=True)
@@ -225,11 +247,9 @@ def verify_level_bounds(params: ChaosParams, p: float) -> LevelBoundsReport:
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
     n = params.n
-    tree, rows, total, sums = _enumerated(params)
+    tree, sums = _enumerated(params)
+    total = sums[-1][0]
     beta = params.beta
-
-    def lp(values: np.ndarray) -> float:
-        return float(np.mean(np.abs(values) ** p) ** (1.0 / p))
 
     term_slacks = []
     block_slacks = []
@@ -239,24 +259,29 @@ def verify_level_bounds(params: ChaosParams, p: float) -> LevelBoundsReport:
         term_bound = 2.0 * sqrt(p * (1 << l)) * beta
         block_bound = 6.0 * _SQRT2 * p * (1 << l) * beta
         level_bound = 6.0 * _SQRT2 * p * tree.n_padded * beta
-        level_values = np.zeros(len(rows))
+        level_values = np.zeros(len(total))
         for b, block in enumerate(tree.blocks(l)):
-            sib = sums[l][b ^ 1]
-            block_values = np.zeros(len(rows))
-            for i in block:
-                if i >= n:
-                    continue
-                term = 0.5 * beta * rows[:, i] * sib
-                term_slacks.append(term_bound - lp(term))
-                block_values += term
-            block_slacks.append(block_bound - lp(block_values))
+            real = range(block.start, min(block.stop, n))
+            if not real or b ^ 1 >= len(sums[l]):
+                # padding alone, or beside padding alone: every value is 0
+                term_slacks.extend([term_bound] * len(real))
+                block_slacks.append(block_bound)
+                continue
+            # term_i = z_i * (beta/2) * sib and |z_i| = 1, so every term of
+            # the block has the norm of (beta/2) * sib
+            half_sib = 0.5 * beta * sums[l][b ^ 1]
+            term_slacks.extend([term_bound - _lp(half_sib, p)] * len(real))
+            block_values = np.zeros(len(total))
+            for i in real:
+                block_values += sums[0][i] * half_sib
+            block_slacks.append(block_bound - _lp(block_values, p))
             level_values += block_values
-        level_norms.append(lp(level_values))
+        level_norms.append(_lp(level_values, p))
         level_slacks.append(level_bound - level_norms[-1])
 
     g_sum = params.M * total + 0.5 * beta * (total * total - n)
-    sum_norm = lp(g_sum)
-    chain_value = params.M * lp(total) + float(np.sum(level_norms))
+    sum_norm = _lp(g_sum, p)
+    chain_value = params.M * _lp(total, p) + float(np.sum(level_norms))
     chain_bound = (4.0 * params.M * sqrt(p * n)
                    + 6.0 * _SQRT2 * p * tree.n_padded * beta * tree.k)
     final = dyadic_sum_moment_bound(p, n, beta, params.M).value

@@ -4,7 +4,10 @@ norms against both oracles, and the anti-concentration certificates."""
 import math
 from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stablebounds.bounds import dyadic_sum_moment_bound, second_moment_bound
 from stablebounds.chaos import (ChaosParams, chaos_g, chaos_lp, chaos_sum,
@@ -95,6 +98,53 @@ class TestVerifyConditions:
         assert (report.conditional_centering, report.conditional_mean,
                 report.bounded_difference, report.uniform_bound) == (0.0, 0.0, 0.0, 0.0)
         assert report.passed
+
+
+def _per_coordinate_reference(params):
+    """The four hypotheses evaluated for every coordinate i separately, from
+    ``chaos_g`` on every sign vector (row r of ``sign_matrix`` with z_j
+    flipped is row r ^ (1 << j))."""
+    n, M, beta = params.n, params.M, params.beta
+    zs = sign_matrix(n)
+    rows = np.arange(1 << n)
+    g = np.array([[chaos_g(i, z, params) for i in range(n)] for z in zs])
+    center = mean = bdiff = 0.0
+    for i in range(n):
+        flipped_i = g[rows ^ (1 << i), i]
+        center = max(center, float(np.max(np.abs(0.5 * (g[:, i] + flipped_i)))))
+        for zi in (1, -1):
+            mean = max(mean, abs(abs(float(np.mean(g[zs[:, i] == zi, i]))) - M))
+        for j in range(n):
+            if j != i:
+                diff = float(np.max(np.abs(g[:, i] - g[rows ^ (1 << j), i])))
+                bdiff = max(bdiff, max(diff - beta, 0.0))
+    unif = abs(float(np.max(np.abs(g))) - params.uniform_bound)
+    return center, mean, bdiff, unif
+
+
+_QUARTERS = st.integers(0, 80).map(lambda k: k / 4)
+_REALS = st.floats(0.0, 20.0, allow_nan=False, allow_infinity=False)
+
+
+class TestVerifyConditionsPerCoordinate:
+    """One conditioning pass stands for every coordinate because the family
+    is exchangeable; this checks that against each coordinate evaluated on
+    its own."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 8), M=st.one_of(_QUARTERS, _REALS),
+           beta=st.one_of(_QUARTERS, _REALS))
+    def test_matches_every_coordinate(self, n, M, beta):
+        params = ChaosParams(n, M, beta)
+        report = verify_chaos_conditions(params)
+        got = (report.conditional_centering, report.conditional_mean,
+               report.bounded_difference, report.uniform_bound)
+        expected = _per_coordinate_reference(params)
+        if (4 * M).is_integer() and (4 * beta).is_integer():
+            assert got == expected == (0.0, 0.0, 0.0, 0.0)
+        else:
+            tol = 1e-12 * max(1.0, params.uniform_bound)
+            assert got == pytest.approx(expected, abs=tol)
 
 
 class TestChaosLp:

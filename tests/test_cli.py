@@ -3,6 +3,7 @@ golden-file regression."""
 
 import json
 import os
+import warnings
 from pathlib import Path
 
 import pytest
@@ -167,6 +168,28 @@ class TestExitCodes:
     def test_all_pass_returns_zero(self, tmp_path):
         assert run_main(["chaos", "--n", "8", "--M", "1", "--beta", "1",
                          "--p", "2", "--out", tmp_path / "c.csv"]) == 0
+
+    def test_numeric_overflow_is_error_exit(self, tmp_path, capsys):
+        # the Paley-Zygmund ratio raised to p overflows a Python float
+        assert run_main(["chaos", "--n", "4", "--M", "1e300", "--beta", "1e300",
+                         "--p", "64", "--out", tmp_path / "c.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: OverflowError")
+        assert "Traceback" not in err
+
+    def test_partition_large_p_has_no_false_violations(self, tmp_path):
+        # |v|^p overflows float64 in the level norms; they must stay exact
+        out = tmp_path / "part.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_main(["partition", "--n", "16", "--M", "0", "--beta", "10",
+                             "--p", "128", "--out", out])
+        assert code == 0
+        header, row = [line.split(",") for line in out.read_text().splitlines()]
+        values = dict(zip(header, row))
+        for col in ("term_violations", "block_violations", "level_violations"):
+            assert values[col] == "0"
+        assert values["chain_ok"] == "true"
 
 
 class TestDeterminism:

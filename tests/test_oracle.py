@@ -6,12 +6,14 @@ from itertools import product
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from stablebounds.oracle import (MomentSpec, SignFunction, collapse_lp,
                                  constant_function, coordinate_function,
                                  empirical_tail, enumerate_lp,
                                  hitczenko_functional,
-                                 latala_allones_estimate, mc_lp, sign_matrix,
+                                 latala_allones_estimate,
+                                 log_binomial_weights, mc_lp, sign_matrix,
                                  sum_function, weighted_sum_function)
 
 
@@ -103,6 +105,22 @@ class TestCollapseLp:
         with pytest.raises(ValueError, match="non-finite"):
             with np.errstate(divide="ignore"):
                 collapse_lp(lambda s: 1.0 / (s + 4.0), 4, 2)   # pole at s = -4
+
+
+class TestLogBinomialWeights:
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 16384])
+    def test_equals_gammaln_formula(self, n):
+        k = np.arange(n + 1, dtype=np.float64)
+        expected = (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+                    - n * math.log(2.0))
+        assert np.array_equal(log_binomial_weights(n), expected)
+
+    def test_read_only_and_shared(self):
+        w = log_binomial_weights(9)
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+        assert log_binomial_weights(9) is w
 
 
 class TestMonteCarlo:
