@@ -114,13 +114,9 @@ def chaos_sum(z, params: ChaosParams) -> float:
 
 def chaos_sum_function(params: ChaosParams) -> SignFunction:
     """sum_i g_i as a batch sign function (closed form; identity tested separately)."""
-    n, M, beta = params.n, params.M, params.beta
-
-    def _eval(rows: np.ndarray) -> np.ndarray:
-        s = rows.sum(axis=1, dtype=np.float64)
-        return M * s + 0.5 * beta * (s * s - n)
-
-    return SignFunction(n, _eval, f"chaos(n={n},M={M},beta={beta})")
+    g = chaos_collapsed(params)
+    return SignFunction(params.n, lambda rows: g(rows.sum(axis=1, dtype=np.float64)),
+                        f"chaos(n={params.n},M={params.M},beta={params.beta})")
 
 
 def chaos_collapsed(params: ChaosParams):
@@ -218,8 +214,8 @@ def paley_zygmund_certificate(params: ChaosParams, p: float) -> TailCertificate:
     norm_p = chaos_lp(params, p)
     norm_2p = chaos_lp(params, 2 * p)
     lhs = tail_probability(params, 0.5 * norm_p)
-    if norm_2p == 0.0:
-        rhs = 0.0
-    else:
-        rhs = (norm_p ** 2 / (2.0 * norm_2p ** 2)) ** p
+    try:
+        rhs = (norm_p ** 2 / (2.0 * norm_2p ** 2)) ** p if norm_2p else 0.0
+    except ArithmeticError:     # the squares leave the float range, their ratio does not
+        rhs = ((norm_p / norm_2p) ** 2 / 2.0) ** p
     return TailCertificate(p=p, lhs=lhs, rhs=rhs, norm_p=norm_p, norm_2p=norm_2p)

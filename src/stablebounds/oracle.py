@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import log, sqrt
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy.special import gammaln
@@ -154,12 +154,32 @@ def _pairwise_sum(parts: list[float]) -> float:
     return vals[0]
 
 
+def _blocks_lp(blocks: Callable[[], Iterable[np.ndarray]], count: int, p: float) -> float:
+    """(count^-1 * sum v^p)^(1/p) over the non-negative arrays ``blocks()``
+    yields. Where that sum is non-finite, or 0 while max v > 0, a second pass
+    scales each block by its max, so streamed blocks keep bounded memory."""
+    with np.errstate(over="ignore"):
+        mean = _pairwise_sum([float(np.sum(v ** p)) for v in blocks()]) / count
+    if not (np.isfinite(mean) and mean > 0):
+        with np.errstate(invalid="ignore"):     # 0/0 in all-zero blocks, dropped below
+            parts = [(float(v.max()), float(np.sum((v / v.max()) ** p))) for v in blocks()]
+        top = float(np.max([t for t, _ in parts]))
+        if 0 < top < np.inf:                    # v^p overflowed or underflowed
+            scaled = _pairwise_sum([(t / top) ** p * s for t, s in parts if t > 0]) / count
+            return float(top * scaled ** (1.0 / p))
+    return float(mean ** (1.0 / p))
+
+
+def lp_norm(values: np.ndarray, p: float) -> float:
+    """Range-safe (mean |v|^p)^(1/p) of one array."""
+    return _blocks_lp(lambda: (np.abs(values),), values.size, p)
+
+
 def enumerate_lp(f: SignFunction, p: float) -> float:
-    """Exact (2^-n * sum_z |f(z)|^p)^(1/p) over the full hypercube."""
+    """Exact, range-safe (2^-n * sum_z |f(z)|^p)^(1/p) over the full hypercube."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    mean = _pairwise_sum([float(np.sum(v ** p)) for v in _abs_blocks(f)]) / (1 << f.arity)
-    return mean ** (1.0 / p)
+    return _blocks_lp(lambda: _abs_blocks(f), 1 << f.arity, p)
 
 
 @lru_cache(maxsize=8)

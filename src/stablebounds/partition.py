@@ -36,7 +36,7 @@ import numpy as np
 
 from .bounds import dyadic_sum_moment_bound
 from .chaos import ChaosParams
-from .oracle import SignFunction, sign_matrix
+from .oracle import SignFunction, lp_norm, sign_matrix
 
 _SQRT2 = sqrt(2.0)
 GENERIC_CAP = 12   # nested enumeration blows up past desk scale
@@ -109,11 +109,9 @@ def conditioned_chaos(tree: PartitionTree, i: int, l: int, z, params: ChaosParam
 def telescope_term_chaos(tree: PartitionTree, i: int, l: int, z, params: ChaosParams) -> float:
     """g_i^l - g_i^{l+1} = (beta/2)*z_i*sum over the sibling block (closed form)."""
     zz = _check_z(tree, z, params)
-    if not 0 <= l < tree.k:
-        raise ValueError(f"level {l} out of range 0..{tree.k - 1}")
+    sib = sibling_block(tree, i, l)
     if i >= params.n:
         return 0.0
-    sib = sibling_block(tree, i, l)
     inner = float(zz[sib.start:min(sib.stop, params.n)].sum())
     return float(0.5 * params.beta * zz[i] * inner)
 
@@ -198,18 +196,6 @@ def verify_telescoping(params: ChaosParams) -> TelescopeReport:
     return TelescopeReport(n=n, max_deviation=worst)
 
 
-def _lp(values: np.ndarray, p: float) -> float:
-    """(mean |v|^p)^(1/p), scaled by max|v| where |v|^p leaves the float range."""
-    a = np.abs(values)
-    with np.errstate(over="ignore"):
-        mean = np.mean(a ** p)
-    if not (np.isfinite(mean) and mean > 0):
-        top = a.max()
-        if 0 < top < np.inf:            # |v|^p overflowed or underflowed
-            return float(top * np.mean((a / top) ** p) ** (1.0 / p))
-    return float(mean ** (1.0 / p))
-
-
 @dataclass(frozen=True)
 class LayerCheck:
     """One layer of the decomposition: worst slack of bound - exact norm."""
@@ -270,18 +256,18 @@ def verify_level_bounds(params: ChaosParams, p: float) -> LevelBoundsReport:
             # term_i = z_i * (beta/2) * sib and |z_i| = 1, so every term of
             # the block has the norm of (beta/2) * sib
             half_sib = 0.5 * beta * sums[l][b ^ 1]
-            term_slacks.extend([term_bound - _lp(half_sib, p)] * len(real))
+            term_slacks.extend([term_bound - lp_norm(half_sib, p)] * len(real))
             block_values = np.zeros(len(total))
             for i in real:
                 block_values += sums[0][i] * half_sib
-            block_slacks.append(block_bound - _lp(block_values, p))
+            block_slacks.append(block_bound - lp_norm(block_values, p))
             level_values += block_values
-        level_norms.append(_lp(level_values, p))
+        level_norms.append(lp_norm(level_values, p))
         level_slacks.append(level_bound - level_norms[-1])
 
     g_sum = params.M * total + 0.5 * beta * (total * total - n)
-    sum_norm = _lp(g_sum, p)
-    chain_value = params.M * _lp(total, p) + float(np.sum(level_norms))
+    sum_norm = lp_norm(g_sum, p)
+    chain_value = params.M * lp_norm(total, p) + float(np.sum(level_norms))
     chain_bound = (4.0 * params.M * sqrt(p * n)
                    + 6.0 * _SQRT2 * p * tree.n_padded * beta * tree.k)
     final = dyadic_sum_moment_bound(p, n, beta, params.M).value

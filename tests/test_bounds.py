@@ -4,7 +4,11 @@ constants, and the ordering/monotonicity properties the formulas promise."""
 import math
 from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog     # independent reference for the fit only
 
 from stablebounds.bounds import (BoundInputs, BoundValue, EXPLICIT,
                                  GENERALIZATION_KINDS, SHAPE,
@@ -240,10 +244,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="gamma"):
             BoundInputs(n=10, gamma=-0.1)
 
-    def test_bound_inputs_rejects_M_above_L(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            BoundInputs(n=10, M=2.0, L=1.0)
-
     def test_bound_value_rejects_negative(self):
         with pytest.raises(ValueError, match="finite"):
             BoundValue(kind="x", value=-1.0, constant_convention=SHAPE)
@@ -266,3 +266,64 @@ class TestFitTailCoefficients:
         norms = {p: 2.0 * p for p in (1, 2, 3, 4)}
         a, b = fit_tail_coefficients(norms)
         assert math.sqrt(4) * a + 4 * b >= 8.0 - 1e-9
+
+    def test_criterion_9_norms_reach_the_axis_vertex(self):
+        # the measured norms of criterion 9's normal sample
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(0xC0FFEE)))
+        sample = np.abs(rng.standard_normal(1_000_000))
+        norms = {float(p): float(np.mean(sample ** p) ** (1.0 / p)) for p in range(1, 11)}
+        assert fit_tail_coefficients(norms) == (0.7988136866564928, 0.0)
+
+    def test_parallel_p1_constraint_takes_smaller_b(self):
+        # a + b >= 2 binds along the edge from (0, 2) to (2, 0); the p = 4
+        # constraint 2a + 4b >= 5 cuts it at b = 0.5
+        assert fit_tail_coefficients({1: 2.0, 4: 5.0}) == pytest.approx((1.5, 0.5), rel=1e-15)
+        assert fit_tail_coefficients({1: 2.0, 4: 3.0}) == (2.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite_norms(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            fit_tail_coefficients({1: 1.0, 2: bad})
+
+    @pytest.mark.parametrize("norms", [{}, {0.5: 1.0}, {math.inf: 1.0}, {2: -1.0}])
+    def test_rejects_bad_grids(self, norms):
+        with pytest.raises(ValueError):
+            fit_tail_coefficients(norms)
+
+
+_P_GRID = [1.0] + [k / 4 for k in range(5, 257)]      # p = 1 and 1.25 .. 64
+_NORM = st.just(0.0) | st.floats(1e-3, 1e3)
+
+
+@st.composite
+def _norm_grids(draw):
+    ps = draw(st.lists(st.sampled_from(_P_GRID), min_size=1, max_size=12, unique=True))
+    if draw(st.booleans()):
+        return {p: draw(_NORM) for p in ps}
+    # every m_p <= p * m_1: the p = 1 constraint binds along an edge of optima
+    m1 = draw(_NORM)
+    return {1.0: m1, **{p: m1 * draw(st.floats(0.0, p)) for p in ps if p > 1}}
+
+
+class TestFitTailCoefficientsAgainstLinprog:
+    @settings(max_examples=200, deadline=None)
+    @given(_norm_grids())
+    @example({1.0: 0.0, 2.0: 0.0, 8.0: 0.0})
+    def test_matches_reference_lp(self, norms):
+        a, b = fit_tail_coefficients(norms)
+        ps = np.array(sorted(norms))
+        ms = np.array([norms[p] for p in ps])
+        ref = linprog([1.0, 1.0], A_ub=np.column_stack([-np.sqrt(ps), -ps]), b_ub=-ms,
+                      bounds=[(0, None), (0, None)], method="highs")
+        assert ref.success
+        assert a + b == pytest.approx(ref.fun, rel=1e-12, abs=0.0)
+        assert a >= 0 and b >= 0
+        for p, m in norms.items():
+            assert math.sqrt(p) * a + p * b >= m * (1 - 1e-12)
+        # only the p = 1 constraint a + b >= m_1 is parallel to the objective;
+        # where it binds, the optimal edge starts at the least b its line allows
+        m1 = norms.get(1.0)
+        if m1 is not None and a + b <= m1 * (1 + 1e-12):
+            least_b = max([0.0] + [(m - math.sqrt(p) * m1) / (p - math.sqrt(p))
+                                   for p, m in norms.items() if p > 1])
+            assert b <= least_b + 1e-12 * m1

@@ -3,11 +3,14 @@ golden-file regression."""
 
 import json
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
+import stablebounds
 from stablebounds.cli import ConfigError, main, run
 
 DATA = Path(__file__).parent / "data"
@@ -170,12 +173,25 @@ class TestExitCodes:
                          "--p", "2", "--out", tmp_path / "c.csv"]) == 0
 
     def test_numeric_overflow_is_error_exit(self, tmp_path, capsys):
-        # the Paley-Zygmund ratio raised to p overflows a Python float
-        assert run_main(["chaos", "--n", "4", "--M", "1e300", "--beta", "1e300",
-                         "--p", "64", "--out", tmp_path / "c.csv"]) == 1
+        # JSON reads 1e400 as inf, which no integer n can hold
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"command": "chaos", "grid": {"n": [1e400], "M": [1], '
+                       '"beta": [1], "p": [2]}}')
+        assert run_main(["chaos", "--config", cfg, "--out", tmp_path / "c.csv"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: OverflowError")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("scale", ["1e300", "1e-300"])
+    def test_paley_zygmund_rhs_at_extreme_norms(self, tmp_path, scale):
+        # the squared norms overflow (1e300) or underflow (1e-300); their ratio does not
+        out = tmp_path / "c.csv"
+        assert run_main(["chaos", "--n", "4", "--M", scale, "--beta", scale,
+                         "--p", "64", "--out", out]) == 0
+        header, row = [line.split(",") for line in out.read_text().splitlines()]
+        values = dict(zip(header, row))
+        assert values["pz_rhs"] == "3.3881317889902131e-21"
+        assert values["ok"] == "true"
 
     def test_partition_large_p_has_no_false_violations(self, tmp_path):
         # |v|^p overflows float64 in the level norms; they must stay exact
@@ -266,3 +282,14 @@ class TestJsonFormat:
 
         doc = json.loads(out.read_text(), parse_constant=reject)
         assert doc["rows"][0]["lower_ratio"] is None
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    # scipy serves only gammaln; the LP solver is not loaded at import
+    src = str(Path(stablebounds.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, stablebounds.cli; print('scipy.optimize' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"

@@ -2,6 +2,7 @@
 Carlo) against each other and against plain-Python brute force."""
 
 import math
+import warnings
 from itertools import product
 
 import numpy as np
@@ -65,6 +66,30 @@ class TestEnumerateLp:
         assert enumerate_lp(f, 2) == pytest.approx(math.sqrt(22.0), rel=1e-10)
         assert enumerate_lp(f, 3) == pytest.approx(
             collapse_lp(lambda s: s, 22, 3), rel=1e-10)
+
+    def test_large_p_overflow_is_scaled(self):
+        # 0.65^1024 * 8^1024 overflows float64; the collapse works in log space
+        f = SignFunction(16, lambda rows: 0.65 * rows[:, 8:16].sum(axis=1, dtype=np.float64))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = enumerate_lp(f, 1024)
+        assert value == pytest.approx(5.175419065859016, rel=1e-12)
+        assert value == pytest.approx(collapse_lp(lambda s: 0.65 * s, 8, 1024), rel=1e-12)
+
+    def test_large_p_underflow_is_scaled(self):
+        # 0.65^2000 underflows to 0 while max|f| > 0
+        assert enumerate_lp(constant_function(4, 0.65), 2000) == pytest.approx(0.65, rel=1e-12)
+
+    @pytest.mark.parametrize("scale,p", [(0.65, 1024), (1e-300, 4)])
+    def test_streamed_path_is_scaled_per_block(self, scale, p):
+        # arity 21 streams 32 blocks; z_17..z_20 are constant within each,
+        # so f is 0 on 12 of them, and max|f| sits in neither end block
+        w = scale * np.array([1.0, 1.0, 1.0, -1.0])
+        f = SignFunction(21, lambda rows: rows[:, 17:21] @ w)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = enumerate_lp(f, p)
+        assert value == pytest.approx(collapse_lp(lambda s: scale * s, 4, p), rel=1e-12)
 
     def test_streamed_tail_beyond_cache(self):
         # P(|S| >= 22) = 2^-21 for 22 coordinates, via the chunked counter

@@ -237,8 +237,7 @@ class TestTermNormClosedForm:
     @pytest.mark.parametrize("n", [4, 8, 16])
     @pytest.mark.parametrize("p", [2, 3, 6, 128, 1024])
     def test_enumerated_term_norm_matches_collapse(self, n, p):
-        from stablebounds.oracle import SignFunction, collapse_lp, enumerate_lp
-        from stablebounds.partition import _lp
+        from stablebounds.oracle import SignFunction, collapse_lp, enumerate_lp, lp_norm
         beta = 1.3
         params = ChaosParams(n, 0.7, beta)
         tree = build_partition(n)
@@ -254,6 +253,5 @@ class TestTermNormClosedForm:
                     telescope_term_chaos(tree, i, l, z, params), abs=1e-12)
             expected = 0.5 * beta * collapse_lp(lambda s: s, d, p)
             # the verifiers' norm: |v|^p leaves the float range at large p
-            assert _lp(term.eval(sign_matrix(n)), p) == pytest.approx(expected, rel=1e-10)
-            if p <= 6:      # enumerate_lp sums |f|^p head-on
-                assert enumerate_lp(term, p) == pytest.approx(expected, rel=1e-10)
+            assert lp_norm(term.eval(sign_matrix(n)), p) == pytest.approx(expected, rel=1e-10)
+            assert enumerate_lp(term, p) == pytest.approx(expected, rel=1e-10)
