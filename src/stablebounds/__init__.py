@@ -12,12 +12,11 @@ from .bounds import (BoundInputs, BoundValue, CappedMomentBound,
 from .chaos import (ChaosParams, TailCertificate, chaos_g, chaos_lp,
                     chaos_sum, lower_ratio, paley_zygmund_certificate,
                     verify_chaos_conditions)
-from .lab import (Dataset, Example, FiniteDistribution, GapSample,
-                  LearnerSpec, bernoulli_labels, clipped_mean_learner,
-                  constant_learner, correlation_check, estimate_gamma,
-                  g_i_exact, g_values, gap, gap_loo, gap_quantiles,
-                  labelled_pair, memorizer_learner, risk, sandwich_check,
-                  sandwich_sweep, shrunk_mean_learner)
+from .lab import (Dataset, Example, FiniteDistribution, LearnerSpec,
+                  bernoulli_labels, clipped_mean_learner, constant_learner,
+                  correlation_check, estimate_gamma, g_i_exact, g_values, gap,
+                  gap_loo, gap_quantiles, labelled_pair, memorizer_learner,
+                  risk, sandwich_check, sandwich_sweep, shrunk_mean_learner)
 from .oracle import (MomentSpec, MonteCarloNorm, SignFunction, collapse_lp,
                      empirical_tail, enumerate_lp, hitczenko_functional,
                      latala_allones_estimate, mc_lp)

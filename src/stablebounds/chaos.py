@@ -132,8 +132,12 @@ def chaos_lp(params: ChaosParams, p: float) -> float:
 
 def second_moment_exact(params: ChaosParams) -> float:
     """Closed form ||sum_i g_i||_2 = sqrt(M^2*n + (beta^2/2)*n*(n-1))."""
-    n = params.n
-    return sqrt(params.M ** 2 * n + 0.5 * params.beta ** 2 * n * (n - 1))
+    n, M, beta = params.n, params.M, params.beta
+    try:
+        return sqrt(M ** 2 * n + 0.5 * beta ** 2 * n * (n - 1))
+    except ArithmeticError:     # the squares leave the float range, the root does not
+        s = max(M, beta)
+        return s * sqrt((M / s) ** 2 * n + 0.5 * (beta / s) ** 2 * n * (n - 1))
 
 
 def verify_chaos_conditions(params: ChaosParams) -> ChaosConditionsReport:

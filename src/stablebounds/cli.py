@@ -222,7 +222,7 @@ def _row_tails(point, cfg, seed):
     a, b, p, delta = point
     moment = bd.moments_from_tail(a, b, p)
     tail = bd.tail_from_moments(a, b, delta)
-    ok = np.isfinite(moment) and np.isfinite(tail) and moment >= 0 and tail >= 0
+    ok = bool(np.isfinite(moment) and np.isfinite(tail) and moment >= 0 and tail >= 0)
     return [{"command": "tails", "provenance": "exact", "a": a, "b": b, "p": p,
              "delta": delta, "moment_bound": moment, "tail_bound": tail, "ok": ok}]
 

@@ -11,11 +11,11 @@ are finite sums, not estimates. The module checks the gap/sum-of-g sandwich
 |E g_i g_j| <= 4*gamma^2, the variance shape bound, and compares empirical
 gap quantiles against every closed-form generalization bound.
 
-All of them run through one batched replace-one kernel, ``_replace_one``,
-on the learner's array form ``LearnerSpec.batch_losses``; the four shipped
-learners have one. Its sums run left to right, so its floats equal those of
-the per-example reference ``replace_one_terms``, which serves learners
-without an array form and datasets off the support.
+All of them, and ``estimate_gamma``, read the loss arrays of ``_losses``:
+the learner's array form ``LearnerSpec.batch_losses`` (the four shipped
+learners have one), else the same arrays built one dataset at a time. The
+batched replace-one kernel ``_replace_one`` sums them left to right, so its
+floats equal those of the per-example reference ``replace_one_terms``.
 
 Learners must be deterministic; randomized rules would break the
 replace-one bookkeeping and are rejected by ``check_deterministic``.
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product
 from math import sqrt
 from typing import Callable
 
@@ -106,16 +105,6 @@ class LearnerSpec:
             raise ValueError(f"loss_bound must be >= 0, got {self.loss_bound}")
 
 
-@dataclass(frozen=True)
-class GapSample:
-    """One replicate: scaled gaps and the replace-one function values."""
-
-    gap: float
-    gap_loo: float
-    g_values: tuple
-    seed: int
-
-
 def replace(dataset: Dataset, i: int, example: Example) -> Dataset:
     return dataset[:i] + (example,) + dataset[i + 1:]
 
@@ -185,21 +174,34 @@ def _ordered_sum(a: np.ndarray, axis: int = 0):
     return reduce(np.add, np.moveaxis(a, axis, 0), 0.0)
 
 
+def _losses(spec: LearnerSpec, dist: FiniteDistribution, idx: np.ndarray,
+            refits: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """``LearnerSpec.batch_losses`` for any learner: the array form, else built per
+    dataset from ``fit``, ``refit`` and ``loss``; an equal replacement keeps the fit."""
+    if spec.batch_losses is not None:
+        return spec.batch_losses(idx, dist, refits)
+    (n, reps), support = idx.shape, dist.support
+    base = np.empty((len(support), reps))
+    moved = np.empty((n, len(support), len(support), reps)) if refits else None
+    for r, col in enumerate(idx.T.tolist()):
+        ds = tuple(support[a] for a in col)
+        h = spec.fit(ds)
+        base[:, r] = [spec.loss(h(e.x), e.y) for e in support]
+        for i, a in enumerate(col if refits else ()):
+            for k, example in enumerate(support):
+                g = h if example == support[a] else refit(spec, ds, h, i, example)
+                moved[i, k, :, r] = [spec.loss(g(e.x), e.y) for e in support]
+    return base, moved
+
+
 def _replace_one(spec: LearnerSpec, dist: FiniteDistribution, idx: np.ndarray,
                  refits: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """The batched replace-one kernel on the datasets with support indices
     ``idx`` (shape (n, reps), one per column): their gaps n * (risk -
     empirical risk) and, if ``refits``, the terms q_k * (risk(h) - loss(h(x_i),
-    y_i)) of h = the fit with z_i replaced by z_k, shape (n, K, reps).
-    Learners without an array form run ``replace_one_terms`` per dataset."""
+    y_i)) of h = the fit with z_i replaced by z_k, shape (n, K, reps)."""
     n = idx.shape[0]
-    if spec.batch_losses is None:
-        datasets = [tuple(dist.support[k] for k in col) for col in idx.T.tolist()]
-        gaps = np.array([gap(spec, ds, dist) for ds in datasets])
-        if not refits:
-            return gaps, None
-        return gaps, np.stack([replace_one_terms(spec, ds, dist) for ds in datasets], axis=-1)
-    base, refit_losses = spec.batch_losses(idx, dist, refits)
+    base, refit_losses = _losses(spec, dist, idx, refits)
     q = np.asarray(dist.probs)[:, None]
     emp = _ordered_sum(np.take_along_axis(base, idx, axis=0)) / n
     gaps = n * (_ordered_sum(q * base) - emp)
@@ -225,7 +227,7 @@ def _draws(dist: FiniteDistribution, n: int, reps: int, rng: np.random.Generator
 def _terms(spec: LearnerSpec, dataset: Dataset, dist: FiniteDistribution) -> np.ndarray:
     """The replace-one terms of one dataset, shape (n, K): by the kernel
     when it can take them, else by the reference."""
-    if spec.batch_losses is None or not dataset or any(e not in dist.support for e in dataset):
+    if not dataset or any(e not in dist.support for e in dataset):
         return replace_one_terms(spec, dataset, dist)
     idx = np.array([[dist.support.index(e)] for e in dataset])
     return _replace_one(spec, dist, idx)[1][:, :, 0]
@@ -247,16 +249,6 @@ def g_values(spec: LearnerSpec, dataset: Dataset, dist: FiniteDistribution,
     if work > max_refits:
         raise ValueError(f"support too large: {work} refits exceed cap {max_refits}")
     return _ordered_sum(_terms(spec, dataset, dist), axis=1).tolist()
-
-
-def gap_sample(spec: LearnerSpec, dist: FiniteDistribution, n: int, seed: int) -> GapSample:
-    """Draw one dataset and record gap, leave-one-out gap and all g_i."""
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    ds = dist.sample(rng, n)
-    return GapSample(gap=gap(spec, ds, dist),
-                     gap_loo=gap_loo(spec, ds, dist),
-                     g_values=tuple(g_values(spec, ds, dist)),
-                     seed=seed)
 
 
 def _gamma_or_analytic(spec: LearnerSpec, n: int, gamma: float | None) -> float:
@@ -308,13 +300,13 @@ class SandwichSweep:
 
 
 def sandwich_sweep(spec: LearnerSpec, dist: FiniteDistribution, n: int,
-                   reps: int, seed: int, gamma: float | None = None,
-                   gamma_mode: str = "analytic") -> SandwichSweep:
+                   reps: int, seed: int, gamma: float | None = None) -> SandwichSweep:
     """Run the sandwich check over ``reps`` seeded datasets.
 
-    gamma defaults to the learner's analytic constant; pass an estimated
-    value (and say so in gamma_mode) only when no constant is provable.
+    gamma defaults to the learner's analytic constant (``gamma_mode``
+    "analytic"); a value passed in is reported as "given".
     """
+    gamma_mode = "analytic" if gamma is None else "given"
     gamma = _gamma_or_analytic(spec, n, gamma)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     bound = 2.0 * gamma * n
@@ -347,43 +339,42 @@ class GammaEstimate:
 def estimate_gamma(spec: LearnerSpec, dist: FiniteDistribution, n: int,
                    trials: int = 1000, seed: int = 0, mode: str = "auto",
                    exhaustive_cap: int = 2_000_000) -> GammaEstimate:
-    """max over (S, i, z', (x,y)) of |loss(A_S(x),y) - loss(A_{S^i}(x),y)|."""
+    """max over (S, i, z', (x,y)) of |loss(A_S(x),y) - loss(A_{S^i}(x),y)|, z' != z_i
+    when exhaustive, from ``_losses`` in blocks of about ``_BLOCK_CELLS`` cells."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if mode not in ("auto", "exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     k = len(dist.support)
+    block = max(1, _BLOCK_CELLS // (n * k * k))
+    worst = 0.0
     cost = (k ** n) * n * k * k if n * np.log(k) < 50 else float("inf")
     if mode == "exhaustive" or (mode == "auto" and cost <= exhaustive_cap):
         if cost > exhaustive_cap:
             raise ValueError(f"exhaustive enumeration needs {cost} evaluations, "
                              f"cap is {exhaustive_cap}")
-        worst = 0.0
-        count = 0
-        for ds in product(dist.support, repeat=n):
-            base = spec.fit(ds)
-            base_losses = [spec.loss(base(e.x), e.y) for e in dist.support]
-            for i in range(n):
-                for repl in dist.support:
-                    if repl == ds[i]:
-                        continue
-                    h = refit(spec, ds, base, i, repl)
-                    for j, e in enumerate(dist.support):
-                        worst = max(worst, abs(spec.loss(h(e.x), e.y) - base_losses[j]))
-                        count += 1
-        return GammaEstimate(value=worst, mode="exhaustive", evaluations=count)
+        same = np.array([[a == b for b in dist.support] for a in dist.support])
+        digits = k ** np.arange(n - 1, -1, -1)[:, None]
+        for start in range(0, k ** n, block):
+            idx = np.arange(start, min(start + block, k ** n)) // digits % k
+            base, moved = _losses(spec, dist, idx, True)
+            skip = same[idx].transpose(0, 2, 1)[:, :, None]   # [i, k, ., r]: z_k == z_i
+            worst = max(worst, float(np.where(skip, 0.0, np.abs(moved - base)).max()))
+        return GammaEstimate(value=worst, mode="exhaustive",
+                             evaluations=n * k ** n * int(np.count_nonzero(~same)))
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    worst = 0.0
     probs = np.asarray(dist.probs)
-    for _ in range(trials):
-        ds = dist.sample(rng, n)
-        i = int(rng.integers(n))
-        repl = dist.support[int(rng.choice(k, p=probs))]
-        test = dist.support[int(rng.choice(k, p=probs))]
-        base = spec.fit(ds)
-        h = refit(spec, ds, base, i, repl)
-        worst = max(worst, abs(spec.loss(h(test.x), test.y)
-                               - spec.loss(base(test.x), test.y)))
+    for start in range(0, trials, block):
+        draws = np.empty((min(block, trials - start), n + 3), dtype=np.intp)
+        for row in draws:           # per trial, in stream order: dataset, i, z', test point
+            row[:n] = rng.choice(k, size=n, p=probs)
+            row[n:] = rng.integers(n), rng.choice(k, p=probs), rng.choice(k, p=probs)
+        i, repl, test = draws[:, n:].T
+        base, moved = _losses(spec, dist, np.ascontiguousarray(draws[:, :n].T), True)
+        cols = np.arange(len(draws))
+        worst = max(worst, float(np.abs(moved[i, repl, test, cols] - base[test, cols]).max()))
     return GammaEstimate(value=worst, mode="sampled", evaluations=trials)
 
 

@@ -204,15 +204,18 @@ def collapse_lp(g: Callable[[np.ndarray], np.ndarray], n: int, p: float) -> floa
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    if not 1 <= p < np.inf:
+        raise ValueError(f"p must be finite and >= 1, got {p}")
     s = 2.0 * np.arange(n + 1) - n
     vals = np.abs(np.asarray(g(s), dtype=np.float64))
     if not np.all(np.isfinite(vals)):
         raise ValueError("g produced non-finite values on the support of S")
     logw = log_binomial_weights(n)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         terms = logw + p * np.log(vals)
+    top = vals.max() if p > 1e305 else 0.0      # p * log|g| is in range below (|log v| < 745)
+    if top > 0 and not np.isfinite(terms[np.argmax(vals)]):
+        return float(top * collapse_lp(lambda s: g(s) / top, n, p))     # max|g| * ||g / max|g|||
     terms = terms[np.isfinite(terms)]       # zero outcomes contribute nothing
     if terms.size == 0:
         return 0.0

@@ -169,6 +169,17 @@ class TestChaosLp:
         assert chaos_lp(params, p) == pytest.approx(
             enumerate_lp(chaos_sum_function(params), p), rel=1e-10)
 
+    def test_extreme_p_tends_to_max(self):
+        # p * log|f| overflows at p = 1e308; max|f| = M*n + beta*n*(n-1)/2 = 10
+        assert chaos_lp(ChaosParams(4, 1.0, 1.0), 1e308) == 10.0
+        with pytest.raises(ValueError, match="finite"):
+            chaos_lp(ChaosParams(4, 1.0, 1.0), math.inf)
+
+    def test_second_moment_beyond_squares(self):
+        # M^2 overflows, the root sqrt(10) * 1e300 does not
+        assert second_moment_exact(ChaosParams(4, 1e300, 1e300)) == 3.1622776601683795e300
+        assert second_moment_exact(ChaosParams(4, 1e300, 0.0)) == 2e300
+
     @pytest.mark.parametrize("params", GRID)
     def test_second_moment_identity_and_bound(self, params):
         exact = chaos_lp(params, 2)

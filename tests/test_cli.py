@@ -172,6 +172,15 @@ class TestExitCodes:
         assert run_main(["chaos", "--n", "8", "--M", "1", "--beta", "1",
                          "--p", "2", "--out", tmp_path / "c.csv"]) == 0
 
+    def test_non_finite_tails_row_fails_as_plain_bool(self, tmp_path):
+        # the moment bound overflows to inf: the row fails with a JSON boolean
+        args = ["tails", "--a", "1e300", "--b", "1e300", "--p", "1e300", "--delta", "0.1"]
+        csv_out, json_out = tmp_path / "t.csv", tmp_path / "t.json"
+        assert run_main(args + ["--out", csv_out]) == 2
+        assert csv_out.read_text().splitlines()[1].endswith(",false")
+        assert run_main(args + ["--format", "json", "--out", json_out]) == 2
+        assert json.loads(json_out.read_text())["rows"][0]["ok"] is False
+
     def test_numeric_overflow_is_error_exit(self, tmp_path, capsys):
         # JSON reads 1e400 as inf, which no integer n can hold
         cfg = tmp_path / "cfg.json"

@@ -10,6 +10,7 @@ exactly 1/2, the empirical risk is 2K(n-K)/n^2, and therefore
 
 import dataclasses
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -17,15 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablebounds.lab import (Example, FiniteDistribution, GapSample,
-                              LearnerSpec, _draws, _replace_one,
+from stablebounds.lab import (Example, FiniteDistribution, GammaEstimate,
+                              LearnerSpec, _draws, _losses, _replace_one,
                               absolute_loss, bernoulli_labels,
                               check_deterministic, clipped_mean_learner,
                               collect_gaps, constant_learner,
                               correlation_check, empirical_risk,
                               estimate_gamma, four_point, g_i_exact, g_values,
-                              gap, gap_loo, gap_quantiles, gap_sample,
-                              labelled_pair, memorizer_learner, refit, replace,
+                              gap, gap_loo, gap_quantiles, labelled_pair,
+                              memorizer_learner, refit, replace,
                               replace_one_terms, risk, sandwich_check,
                               sandwich_sweep, shrunk_mean_learner,
                               zero_one_loss)
@@ -253,6 +254,40 @@ class TestEstimateGamma:
         est = estimate_gamma(clipped_mean_learner(), BERN, n=64, trials=50, seed=1)
         assert est.mode == "sampled"
 
+    def test_exhaustive_skips_equal_replacements(self):
+        # this array form claims that replacing z_i by itself moves every
+        # loss by 1; exhaustive mode never evaluates such a replacement
+        def batch_losses(idx, dist, refits):
+            n, reps = idx.shape
+            moved = np.zeros((n, len(dist.support), len(dist.support), reps))
+            moved[np.arange(n)[:, None], idx, :, np.arange(reps)] = 1.0
+            return np.zeros((len(dist.support), reps)), moved
+
+        spec = LearnerSpec(name="self-moving", fit=lambda ds: (lambda x: 0.0),
+                           loss=absolute_loss, loss_bound=1.0, batch_losses=batch_losses)
+        est = estimate_gamma(spec, four_point(), n=3, mode="exhaustive")
+        assert (est.value, est.evaluations) == (0.0, 3 * 4 ** 3 * 12)
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_rejects_empty_datasets(self, n):
+        for mode in ("exhaustive", "sampled"):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                estimate_gamma(clipped_mean_learner(), BERN, n=n, mode=mode)
+
+    def test_sampled_memory_is_bounded(self):
+        # datasets are drawn block by block; all 1250 at once would hold
+        # 1250 x 8192 indices (80 MB). Few long datasets rather than many
+        # short ones, because tracemalloc slows every per-trial draw.
+        tracemalloc.start()
+        try:
+            est = estimate_gamma(memorizer_learner(), PAIR, n=8192, trials=1250,
+                                 seed=3, mode="sampled")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.mode == "sampled"
+        assert peak < 16 * 2**20
+
 
 class TestCorrelation:
     def test_constant_predictor_within_noise_of_zero(self):
@@ -301,16 +336,6 @@ class TestQuantiles:
         for r in range(500):
             labels = [e.y for e in BERN.sample(rng, 16)]
             assert gaps[r] == pytest.approx(clipped_gap_oracle(labels), abs=1e-12)
-
-
-class TestGapSample:
-    def test_fields_and_invariants(self):
-        sample = gap_sample(clipped_mean_learner(), BERN, n=6, seed=42)
-        assert isinstance(sample, GapSample)
-        assert len(sample.g_values) == 6
-        assert abs(sample.gap) <= 6.0
-        assert all(abs(v) <= 1.0 for v in sample.g_values)
-        assert sample.seed == 42
 
 
 class TestDeterminismGuard:
@@ -417,3 +442,74 @@ class TestKernelMatchesReference:
         sweep = sandwich_sweep(clipped_mean_learner(), BERN, n=5, reps=0, seed=1)
         assert (sweep.violations, sweep.max_slack, sweep.max_excess) == (0, 0.0, -math.inf)
         assert collect_gaps(clipped_mean_learner(), BERN, n=5, reps=0, seed=1).shape == (0,)
+
+
+def gamma_loop(spec, dist, n, trials=1000, seed=0, mode="auto",
+               exhaustive_cap=2_000_000):
+    """``estimate_gamma`` as a per-example loop over datasets, positions,
+    replacements and test points: the brute-force reference."""
+    k = len(dist.support)
+    cost = (k ** n) * n * k * k if n * np.log(k) < 50 else float("inf")
+    if mode == "exhaustive" or (mode == "auto" and cost <= exhaustive_cap):
+        worst = 0.0
+        count = 0
+        for ds in product(dist.support, repeat=n):
+            base = spec.fit(ds)
+            base_losses = [spec.loss(base(e.x), e.y) for e in dist.support]
+            for i in range(n):
+                for repl in dist.support:
+                    if repl == ds[i]:
+                        continue
+                    h = refit(spec, ds, base, i, repl)
+                    for j, e in enumerate(dist.support):
+                        worst = max(worst, abs(spec.loss(h(e.x), e.y) - base_losses[j]))
+                        count += 1
+        return GammaEstimate(value=worst, mode="exhaustive", evaluations=count)
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    worst = 0.0
+    probs = np.asarray(dist.probs)
+    for _ in range(trials):
+        ds = dist.sample(rng, n)
+        i = int(rng.integers(n))
+        repl = dist.support[int(rng.choice(k, p=probs))]
+        test = dist.support[int(rng.choice(k, p=probs))]
+        base = spec.fit(ds)
+        h = refit(spec, ds, base, i, repl)
+        worst = max(worst, abs(spec.loss(h(test.x), test.y)
+                               - spec.loss(base(test.x), test.y)))
+    return GammaEstimate(value=worst, mode="sampled", evaluations=trials)
+
+
+class TestLossArrays:
+    """``estimate_gamma`` and the learners' array forms against per-example
+    references, with ``==``."""
+
+    @pytest.mark.parametrize("dist_name", sorted(DISTRIBUTIONS))
+    @pytest.mark.parametrize("learner", sorted(SHIPPED))
+    @settings(max_examples=10, deadline=None)
+    @given(n=st.integers(1, 6), array_form=st.booleans(),
+           mode=st.sampled_from(["exhaustive", "sampled"]),
+           trials=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+           p=st.floats(0.05, 0.95))
+    def test_estimate_gamma_equals_loop(self, learner, dist_name, n, array_form,
+                                        mode, trials, seed, p):
+        spec, dist = SHIPPED[learner](), DISTRIBUTIONS[dist_name](p)
+        if not array_form:
+            spec = reference_of(spec)
+        assert (estimate_gamma(spec, dist, n, trials, seed, mode)
+                == gamma_loop(spec, dist, n, trials, seed, mode))
+
+    @pytest.mark.parametrize("dist_name", sorted(DISTRIBUTIONS))
+    @pytest.mark.parametrize("learner", sorted(SHIPPED))
+    @settings(max_examples=15, deadline=None)
+    @given(n=st.integers(1, 30), reps=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1), p=st.floats(0.05, 0.95))
+    def test_batch_losses_contract(self, learner, dist_name, n, reps, seed, p):
+        spec, dist = SHIPPED[learner](), DISTRIBUTIONS[dist_name](p)
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+        for _, idx in _draws(dist, n, reps, rng):
+            base, moved = spec.batch_losses(idx, dist, True)
+            ref_base, ref_moved = _losses(reference_of(spec), dist, idx, True)
+            assert np.array_equal(base, ref_base)
+            assert np.array_equal(moved, ref_moved)
+            assert np.array_equal(spec.batch_losses(idx, dist, False)[0], ref_base)

@@ -126,6 +126,17 @@ class TestCollapseLp:
     def test_zero_function(self):
         assert collapse_lp(lambda s: 0.0 * s, 6, 2) == 0.0
 
+    def test_log_terms_out_of_range(self):
+        # p * log|g| overflows (max|g| = 4 > 1) or underflows (max|g| = 4e-300)
+        # to +-inf; the norm tends to max|g| as p grows
+        assert collapse_lp(lambda s: s, 4, 1e308) == 4.0
+        assert collapse_lp(lambda s: 1e-300 * s, 4, 1e306) == 4e-300
+
+    @pytest.mark.parametrize("p", [math.inf, math.nan, 0.5])
+    def test_rejects_bad_p(self, p):
+        with pytest.raises(ValueError, match="p must be finite and >= 1"):
+            collapse_lp(lambda s: s, 4, p)
+
     def test_rejects_non_finite_values(self):
         with pytest.raises(ValueError, match="non-finite"):
             with np.errstate(divide="ignore"):
