@@ -20,8 +20,9 @@ over {-1,+1}^(n-1) that stands for every coordinate.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -133,11 +134,12 @@ def chaos_lp(params: ChaosParams, p: float) -> float:
 def second_moment_exact(params: ChaosParams) -> float:
     """Closed form ||sum_i g_i||_2 = sqrt(M^2*n + (beta^2/2)*n*(n-1))."""
     n, M, beta = params.n, params.M, params.beta
-    try:
-        return sqrt(M ** 2 * n + 0.5 * beta ** 2 * n * (n - 1))
-    except ArithmeticError:     # the squares leave the float range, the root does not
-        s = max(M, beta)
-        return s * sqrt((M / s) ** 2 * n + 0.5 * (beta / s) ** 2 * n * (n - 1))
+    with suppress(ArithmeticError):     # a square leaves the float range,
+        direct = sqrt(M ** 2 * n + 0.5 * beta ** 2 * n * (n - 1))
+        if isfinite(direct):            # or a product overflows to inf without raising
+            return direct
+    s = max(M, beta)                    # the root does not
+    return s * sqrt(n) * sqrt((M / s) ** 2 + 0.5 * (beta / s) ** 2 * (n - 1))
 
 
 def verify_chaos_conditions(params: ChaosParams) -> ChaosConditionsReport:
@@ -147,17 +149,16 @@ def verify_chaos_conditions(params: ChaosParams) -> ChaosConditionsReport:
     and the family is exchangeable: every coordinate i sees the same function
     of (z_i, Z_{-i}). So one conditioning pass covers every i. It enumerates
     the 2^(n-1) assignments of the other coordinates, both values of z_i, and
-    each single flip j != i, read from one contiguous copy of the flip
-    columns. All four violations are exactly 0 for this family. The
-    enumeration holds ``sign_matrix(n - 1)``, so n is capped at 21.
+    each single flip j != i, read in place from the rows of the cached
+    coordinate-major matrix. All four violations are exactly 0 for this
+    family. The enumeration holds ``sign_matrix(n - 1)``, so n is capped at 21.
     """
     n, M, beta = params.n, params.M, params.beta
     worst_mean = 0.0
     worst_bdiff = 0.0
     max_abs_g = 0.0
-    others = sign_matrix(n - 1)                      # assignments of Z_{-i}
-    t = others.sum(axis=1, dtype=np.float64)         # sum over j != i
-    flips = np.ascontiguousarray(others.T)           # row j: z_j over `others`
+    flips = sign_matrix(n - 1).T                     # row j: z_j over every Z_{-i}
+    t = flips.sum(axis=0, dtype=np.float64)          # sum over j != i
     branches = {}
     for zi in (1.0, -1.0):
         g_branch = zi * M + 0.5 * beta * zi * t

@@ -185,7 +185,7 @@ def _row_partition(point, cfg, seed):
     params = ch.ChaosParams(n=n, M=M, beta=beta)
     tel = pt.verify_telescoping(params)
     rep = pt.verify_level_bounds(params, p)
-    telescope_ok = tel.passed()
+    telescope_ok = tel.passed
     ok = telescope_ok and rep.passed
     return [{"command": "partition", "provenance": "exact", "n": n, "M": M,
              "beta": beta, "p": p, "telescope_dev": tel.max_deviation,

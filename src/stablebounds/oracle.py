@@ -3,16 +3,17 @@
 Ground truth for every moment claim in this package comes from three routes
 that are kept deliberately independent of each other:
 
-* ``enumerate_lp`` -- full enumeration of {-1,+1}^n, streamed in row
-  chunks up to n = 26;
+* ``enumerate_lp`` -- full enumeration of {-1,+1}^n, in blocks of 2**16
+  rows at every n up to 26;
 * ``collapse_lp``  -- exact binomial weights for functions that factor
   through the coordinate sum S = sum(Z_i), usable at any n;
 * ``mc_lp``        -- seeded, scheduling-independent Monte Carlo; a
   ``MomentSpec`` describes only such a run.
 
-``sign_matrix`` holds all of {-1,+1}^n at once and is capped at n = 20, so
-checks that need the whole matrix (the partition verifiers) stop there, and
-the chaos hypotheses, which enumerate n - 1 coordinates, at n = 21.
+{-1,+1}^n is cached once per n <= 20 as a read-only int8 array (n, 2**n),
+z_i as row i; ``sign_matrix`` is its transpose. The partition verifiers (n <= 20)
+and the chaos hypotheses (n - 1 coordinates, n <= 21) read it in place, and
+the enumeration copies ``sign_matrix(min(n, 16))`` into every block.
 
 Also provides the two reference moment functionals for weighted Rademacher
 sums (Hitczenko) and for the all-ones off-diagonal Rademacher quadratic form
@@ -31,8 +32,8 @@ from scipy.special import gammaln
 
 ENUMERATION_CAP = 26   # 2**26 ~ 6.7e7 evaluations keeps the oracle interactive
 MC_BLOCK = 4096        # replicate block size; fixed so streams never depend on scheduling
-_ENUM_CHUNK = 1 << 16
-_CACHED_ARITY = 20     # sign matrices up to 2**20 x 20 (~21 MB) are cached; also their cap
+_BLOCK_ARITY = 16      # enumeration blocks of 2**16 rows
+_CACHED_ARITY = 20     # sign matrices up to 20 x 2**20 (~21 MB) are cached; also their cap
 _LOG2 = log(2.0)
 
 
@@ -105,24 +106,21 @@ def weighted_sum_function(weights) -> SignFunction:
 
 
 @lru_cache(maxsize=4)
-def _cached_sign_matrix(n: int) -> np.ndarray:
-    m = _sign_rows(n, 0, 1 << n)
-    m.flags.writeable = False           # shared by every caller of this arity
-    return m
-
-
-def _sign_rows(n: int, start: int, stop: int) -> np.ndarray:
-    """Rows ``start..stop`` of the lexicographic enumeration of {-1,+1}^n."""
-    idx = np.arange(start, stop, dtype=np.int64)
-    bits = (idx[:, None] >> np.arange(n, dtype=np.int64)[None, :]) & 1
-    return (2 * bits - 1).astype(np.int8)
+def _sign_columns(n: int) -> np.ndarray:
+    """{-1,+1}^n coordinate-major: row i is z_i over the 2**n lexicographic
+    sign vectors, -1 for 2**i entries, then +1 for 2**i, repeated."""
+    cols = np.ones((n, 1 << n), dtype=np.int8)
+    for i, col in enumerate(cols):
+        col.reshape(-1, 2, 1 << i)[:, 0] = -1
+    cols.flags.writeable = False        # shared by every caller of this arity
+    return cols
 
 
 def sign_matrix(n: int) -> np.ndarray:
-    """All 2**n sign vectors as a read-only (2**n, n) matrix of +-1 (n <= 20)."""
+    """All 2**n sign vectors as a read-only (2**n, n) view of +-1 (n <= 20)."""
     if n > _CACHED_ARITY:
         raise ValueError(f"arity {n} exceeds sign matrix cap {_CACHED_ARITY}")
-    return _cached_sign_matrix(n)
+    return _sign_columns(n).T
 
 
 def _abs_eval(f: SignFunction, rows: np.ndarray) -> np.ndarray:
@@ -130,17 +128,18 @@ def _abs_eval(f: SignFunction, rows: np.ndarray) -> np.ndarray:
 
 
 def _abs_blocks(f: SignFunction):
-    """|f| over {-1,+1}^n in lexicographic row blocks: the cached matrix as
-    one block up to n = 20, ``_ENUM_CHUNK``-row slices up to the cap."""
+    """|f| over {-1,+1}^n in lexicographic blocks of 2**min(n, 16) rows: low
+    coordinates from ``sign_matrix``, high ones the bits of the block number."""
     n = f.arity
     if n > ENUMERATION_CAP:
         raise ValueError(f"arity {n} exceeds enumeration cap {ENUMERATION_CAP}")
-    if n <= _CACHED_ARITY:
-        yield _abs_eval(f, sign_matrix(n))
-        return
-    total = 1 << n
-    for start in range(0, total, _ENUM_CHUNK):
-        yield _abs_eval(f, _sign_rows(n, start, min(start + _ENUM_CHUNK, total)))
+    low = min(n, _BLOCK_ARITY)
+    low_rows = sign_matrix(low)
+    for b in range(1 << (n - low)):
+        rows = np.empty((1 << low, n), dtype=np.int8)
+        rows[:, :low] = low_rows
+        rows[:, low:] = 2 * ((b >> np.arange(n - low)) & 1) - 1
+        yield _abs_eval(f, rows)
 
 
 def _pairwise_sum(parts: list[float]) -> float:
@@ -244,15 +243,13 @@ def mc_lp(f: SignFunction, spec: MomentSpec) -> MonteCarloNorm:
     """Plug-in estimator (reps^-1 * sum |f|^p)^(1/p) over seeded i.i.d. draws.
 
     The error summary is the min/median/max of the 20 equal-batch estimates;
-    for a converged run the batch spread brackets the enumeration value.
+    for a converged run the batch spread brackets the enumeration value. The
+    estimates are range-safe, as ``lp_norm`` is.
     """
     vals = _mc_values(f, spec.reps, spec.seed)
-    powers = vals ** spec.p
-    estimate = float(np.mean(powers)) ** (1.0 / spec.p)
-    batches = np.array([float(np.mean(powers[s])) ** (1.0 / spec.p)
-                        for s in _batch_slices(spec.reps)])
+    batches = np.array([lp_norm(vals[s], spec.p) for s in _batch_slices(spec.reps)])
     return MonteCarloNorm(
-        value=estimate,
+        value=lp_norm(vals, spec.p),
         batch_min=float(batches.min()),
         batch_median=float(np.median(batches)),
         batch_max=float(batches.max()),

@@ -58,11 +58,6 @@ class PartitionTree:
         if not self.n_original <= self.n_padded < 2 * self.n_original:
             raise ValueError("padding must be the next power of two")
 
-    @property
-    def levels(self) -> list[list[range]]:
-        """All partitions, level 0 (singletons) through level k (full set)."""
-        return [self.blocks(l) for l in range(self.k + 1)]
-
     def blocks(self, l: int) -> list[range]:
         if not 0 <= l <= self.k:
             raise ValueError(f"level {l} out of range 0..{self.k}")
@@ -151,8 +146,9 @@ class TelescopeReport:
     n: int
     max_deviation: float
 
-    def passed(self, tol: float = 1e-12) -> bool:
-        return self.max_deviation <= tol
+    @property
+    def passed(self) -> bool:
+        return self.max_deviation <= 1e-12
 
 
 def _enumerated(params: ChaosParams):
@@ -163,14 +159,16 @@ def _enumerated(params: ChaosParams):
 
     The arrays are coordinate-major, so z_i over every sign vector is the
     contiguous row ``sums[0][i]`` and S = sum_i z_i is ``sums[k][0]`` (exact:
-    every block sum is a small integer). Holds the whole of
+    every block sum is a small integer). Level 0 is the cached int8 columns
+    of ``sign_matrix(n)``, read in place (scaled by Python floats, so the
+    products are float64); the levels above are float64. Holds the whole of
     ``sign_matrix(n)``, so n is capped at 20.
     """
     tree = build_partition(params.n)
-    sums = [np.ascontiguousarray(sign_matrix(params.n).T, dtype=np.float64)]
+    sums = [sign_matrix(params.n).T]
     for _ in range(tree.k):
         prev = sums[-1]
-        pairs = prev[0::2].copy()       # an odd last block has only padding beside it
+        pairs = prev[0::2].astype(np.float64)   # an odd last block has only padding beside it
         pairs[:len(prev) // 2] += prev[1::2]
         sums.append(pairs)
     return tree, sums
@@ -178,20 +176,20 @@ def _enumerated(params: ChaosParams):
 
 def verify_telescoping(params: ChaosParams) -> TelescopeReport:
     """Check the telescoping identity on every sign vector and index."""
-    n = params.n
+    n, M, half_beta = params.n, float(params.M), float(0.5 * params.beta)
     tree, sums = _enumerated(params)
     total = sums[-1][0]
     worst = 0.0
     for i in range(n):
         zi = sums[0][i]
-        half_zi = 0.5 * params.beta * zi          # shared by g_i and every term
-        g_i = params.M * zi + half_zi * (total - zi)
+        half_zi = half_beta * zi                  # shared by g_i and every term
+        g_i = M * zi + half_zi * (total - zi)
         acc = np.zeros(len(zi))
         for l in range(tree.k):
             sib = (i >> l) ^ 1
             if sib < len(sums[l]):                # a padding sibling adds 0
                 acc += half_zi * sums[l][sib]
-        dev = float(np.max(np.abs(acc - (g_i - params.M * zi))))
+        dev = float(np.max(np.abs(acc - (g_i - M * zi))))
         worst = max(worst, dev)
     return TelescopeReport(n=n, max_deviation=worst)
 
@@ -235,7 +233,7 @@ def verify_level_bounds(params: ChaosParams, p: float) -> LevelBoundsReport:
     n = params.n
     tree, sums = _enumerated(params)
     total = sums[-1][0]
-    beta = params.beta
+    beta, M, half_beta = params.beta, float(params.M), float(0.5 * params.beta)
 
     term_slacks = []
     block_slacks = []
@@ -255,7 +253,7 @@ def verify_level_bounds(params: ChaosParams, p: float) -> LevelBoundsReport:
                 continue
             # term_i = z_i * (beta/2) * sib and |z_i| = 1, so every term of
             # the block has the norm of (beta/2) * sib
-            half_sib = 0.5 * beta * sums[l][b ^ 1]
+            half_sib = half_beta * sums[l][b ^ 1]
             term_slacks.extend([term_bound - lp_norm(half_sib, p)] * len(real))
             block_values = np.zeros(len(total))
             for i in real:
@@ -265,7 +263,7 @@ def verify_level_bounds(params: ChaosParams, p: float) -> LevelBoundsReport:
         level_norms.append(lp_norm(level_values, p))
         level_slacks.append(level_bound - level_norms[-1])
 
-    g_sum = params.M * total + 0.5 * beta * (total * total - n)
+    g_sum = M * total + 0.5 * beta * (total * total - n)
     sum_norm = lp_norm(g_sum, p)
     chain_value = params.M * lp_norm(total, p) + float(np.sum(level_norms))
     chain_bound = (4.0 * params.M * sqrt(p * n)

@@ -2,6 +2,7 @@
 norms against both oracles, and the anti-concentration certificates."""
 
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -14,7 +15,7 @@ from stablebounds.chaos import (ChaosParams, chaos_g, chaos_lp, chaos_sum,
                                 chaos_sum_function, lower_ratio,
                                 paley_zygmund_certificate, second_moment_exact,
                                 tail_probability, verify_chaos_conditions)
-from stablebounds.oracle import empirical_tail, enumerate_lp, sign_matrix
+from stablebounds.oracle import _sign_columns, empirical_tail, enumerate_lp, sign_matrix
 
 GRID = [ChaosParams(n, M, beta)
         for n, M, beta in product((2, 3, 4, 6, 8), (0.0, 0.5, 1.0), (0.0, 1.0, 2.5))
@@ -90,6 +91,18 @@ class TestVerifyConditions:
         # the enumeration of the n - 1 other coordinates holds sign_matrix(n - 1)
         with pytest.raises(ValueError, match="cap"):
             verify_chaos_conditions(ChaosParams(22, 1.0, 1.0))
+
+    def test_reads_matrix_in_place(self):
+        # sign_matrix(16) is 1 MiB of int8; a float64 copy of it would be 8 MiB
+        _sign_columns.cache_clear()
+        tracemalloc.start()
+        try:
+            report = verify_chaos_conditions(ChaosParams(17, 1, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("M,beta", [(0.0, 1.0), (1.0, 0.0), (2.5, 3.0)])
     def test_single_coordinate(self, M, beta):
@@ -180,10 +193,22 @@ class TestChaosLp:
         assert second_moment_exact(ChaosParams(4, 1e300, 1e300)) == 3.1622776601683795e300
         assert second_moment_exact(ChaosParams(4, 1e300, 0.0)) == 2e300
 
+    def test_second_moment_beyond_products(self):
+        # M^2 * n overflows to inf without raising; the root 1e155 does not
+        assert second_moment_exact(ChaosParams(10**10, 1e150, 0.0)) == pytest.approx(
+            1e155, rel=1e-15)
+        assert second_moment_exact(ChaosParams(10**10, 0.0, 1e150)) == pytest.approx(
+            math.sqrt(0.5 * 10**10 * (10**10 - 1)) * 1e150, rel=1e-15)
+        # n * (n - 1) = 1e400 overflows even at M = beta = 1
+        assert second_moment_exact(ChaosParams(10**200, 1.0, 1.0)) == pytest.approx(
+            math.sqrt(0.5) * 1e200, rel=1e-15)
+
     @pytest.mark.parametrize("params", GRID)
     def test_second_moment_identity_and_bound(self, params):
         exact = chaos_lp(params, 2)
         assert exact == pytest.approx(second_moment_exact(params), rel=1e-10)
+        n, M, beta = params.n, params.M, params.beta     # in range: the direct form
+        assert second_moment_exact(params) == math.sqrt(M ** 2 * n + 0.5 * beta ** 2 * n * (n - 1))
         assert exact <= second_moment_bound(params.n, params.beta, params.M) + 1e-12
 
     @pytest.mark.parametrize("params", GRID)

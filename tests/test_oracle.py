@@ -2,6 +2,7 @@
 Carlo) against each other and against plain-Python brute force."""
 
 import math
+import tracemalloc
 import warnings
 from itertools import product
 
@@ -9,13 +10,15 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from stablebounds.oracle import (MomentSpec, SignFunction, collapse_lp,
+from stablebounds.oracle import (MomentSpec, SignFunction, _mc_values,
+                                 _sign_columns, collapse_lp,
                                  constant_function, coordinate_function,
                                  empirical_tail, enumerate_lp,
                                  hitczenko_functional,
                                  latala_allones_estimate,
-                                 log_binomial_weights, mc_lp, sign_matrix,
-                                 sum_function, weighted_sum_function)
+                                 log_binomial_weights, lp_norm, mc_lp,
+                                 sign_matrix, sum_function,
+                                 weighted_sum_function)
 
 
 def brute_force_lp(n, scalar_f, p):
@@ -24,6 +27,17 @@ def brute_force_lp(n, scalar_f, p):
     for z in product((-1, 1), repeat=n):
         total += abs(scalar_f(z)) ** p
     return (total / 2 ** n) ** (1.0 / p)
+
+
+def traced_peak(run) -> int:
+    """Peak traced bytes of ``run()``, built from an empty sign-matrix cache."""
+    _sign_columns.cache_clear()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestEnumerateLp:
@@ -60,12 +74,26 @@ class TestEnumerateLp:
         assert all(a <= b + 1e-12 for a, b in zip(norms, norms[1:]))
 
     def test_streamed_path_beyond_cache(self):
-        # arity 22 exceeds the cached-matrix range and runs the chunked
-        # enumeration with the range-ordered pairwise reduction
+        # arity 22 exceeds the sign matrix cap; its 64 blocks take their high
+        # coordinates from the block number, summed by the pairwise reduction
         f = sum_function(22)
         assert enumerate_lp(f, 2) == pytest.approx(math.sqrt(22.0), rel=1e-10)
         assert enumerate_lp(f, 3) == pytest.approx(
             collapse_lp(lambda s: s, 22, 3), rel=1e-10)
+
+    @pytest.mark.parametrize("n", [17, 18])
+    @pytest.mark.parametrize("p", [1, 2, 8])
+    def test_blocks_equal_whole_matrix(self, n, p):
+        # 2 and 4 blocks of 2**16 rows add up as one pass over the matrix does
+        for f in (sum_function(n),
+                  SignFunction(n, lambda rows: 0.3 * rows.sum(axis=1, dtype=np.float64) ** 2
+                               - 0.7 * rows[:, n - 1])):
+            assert enumerate_lp(f, p) == lp_norm(np.abs(f.eval(sign_matrix(n))), p)
+
+    def test_memory_is_one_block(self):
+        # the whole enumeration of 22 coordinates would be 2**22 x 22 int8
+        # (92 MB); a block of 2**16 rows and its values take about 3 MB
+        assert traced_peak(lambda: enumerate_lp(sum_function(22), 2)) < 8 * 2**20
 
     def test_large_p_overflow_is_scaled(self):
         # 0.65^1024 * 8^1024 overflows float64; the collapse works in log space
@@ -82,7 +110,7 @@ class TestEnumerateLp:
 
     @pytest.mark.parametrize("scale,p", [(0.65, 1024), (1e-300, 4)])
     def test_streamed_path_is_scaled_per_block(self, scale, p):
-        # arity 21 streams 32 blocks; z_17..z_20 are constant within each,
+        # arity 21 enumerates 32 blocks; z_17..z_20 are constant within each,
         # so f is 0 on 12 of them, and max|f| sits in neither end block
         w = scale * np.array([1.0, 1.0, 1.0, -1.0])
         f = SignFunction(21, lambda rows: rows[:, 17:21] @ w)
@@ -92,7 +120,7 @@ class TestEnumerateLp:
         assert value == pytest.approx(collapse_lp(lambda s: scale * s, 4, p), rel=1e-12)
 
     def test_streamed_tail_beyond_cache(self):
-        # P(|S| >= 22) = 2^-21 for 22 coordinates, via the chunked counter
+        # P(|S| >= 22) = 2^-21 for 22 coordinates, counted block by block
         assert empirical_tail(sum_function(22), 22.0) == pytest.approx(2.0 ** -21)
 
 
@@ -197,6 +225,27 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="reps"):
             MomentSpec(p=2, reps=99)
 
+    @pytest.mark.parametrize("f,p", [(sum_function(8), 3.5), (sum_function(16), 8),
+                                     (weighted_sum_function([0.5, -1.5, 2.0]), 1)])
+    def test_in_range_equals_plain_mean(self, f, p):
+        spec = MomentSpec(p=p, reps=5000, seed=7)
+        powers = _mc_values(f, spec.reps, spec.seed) ** p
+        assert mc_lp(f, spec).value == float(np.mean(powers)) ** (1.0 / p)
+
+    def test_large_p_underflow_is_scaled(self):
+        # 0.65^2000 underflows to 0 while max|f| > 0
+        est = mc_lp(constant_function(4, 0.65), MomentSpec(p=2000, reps=1000, seed=1))
+        assert (est.value, est.batch_min, est.batch_max) == (0.65, 0.65, 0.65)
+
+    def test_large_p_overflow_is_scaled(self):
+        # (0.65 * 8)^1024 overflows float64
+        f = SignFunction(16, lambda rows: 0.65 * rows[:, 8:16].sum(axis=1, dtype=np.float64))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = mc_lp(f, MomentSpec(p=1024, reps=2000, seed=1))
+        for value in (est.value, est.batch_min, est.batch_median, est.batch_max):
+            assert 0 < value <= 0.65 * 8
+
 
 class TestEmpiricalTail:
     def test_single_coordinate(self):
@@ -291,8 +340,22 @@ class TestSignMatrix:
             m[0, 0] = 1
         assert sign_matrix(5)[0, 0] == -1
 
+    @pytest.mark.parametrize("n", range(13))
+    def test_lexicographic_layout(self, n):
+        r = np.arange(1 << n)[:, None]
+        assert np.array_equal(sign_matrix(n), ((r >> np.arange(n)) & 1) * 2 - 1)
+
+    def test_columns_are_contiguous_int8(self):
+        cols = sign_matrix(12).T
+        assert cols.dtype == np.int8 and cols.flags.c_contiguous
+        assert not cols.flags.writeable
+
+    def test_built_without_temporaries(self):
+        # 18 x 2**18 int8 is 4.5 MiB
+        assert traced_peak(lambda: sign_matrix(18)) < 8 * 2**20
+
     def test_rejects_arity_above_matrix_cap(self):
-        # the whole matrix is held only up to n = 20; enumerate_lp streams
-        # beyond that (TestEnumerateLp.test_streamed_path_beyond_cache)
+        # the whole matrix is held only up to n = 20; enumerate_lp runs in
+        # blocks beyond that (TestEnumerateLp.test_streamed_path_beyond_cache)
         with pytest.raises(ValueError, match="cap"):
             sign_matrix(21)

@@ -31,7 +31,7 @@ class TestBuildPartition:
     def test_degenerate_single_index(self):
         tree = build_partition(1)
         assert (tree.n_padded, tree.k) == (1, 0)
-        assert tree.levels == [[range(0, 1)]]
+        assert tree.blocks(0) == [range(0, 1)]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 100, 999, 2 ** 13 + 1, 2 ** 14])
     def test_structural_invariants(self, n):
@@ -179,11 +179,18 @@ class TestVerifyTelescoping:
     def test_identity_holds(self, params):
         report = verify_telescoping(params)
         assert report.max_deviation <= 1e-12
-        assert report.passed()
+        assert report.passed
 
     def test_rejects_n_above_matrix_cap(self):
         with pytest.raises(ValueError, match="cap"):
             verify_telescoping(ChaosParams(21, 1.0, 1.0))
+
+    def test_integer_parameters(self):
+        # level 0 is the int8 sign matrix; an int M = 1000 must not be cast to it
+        as_int, as_float = ChaosParams(6, 1000, 300), ChaosParams(6, 1000.0, 300.0)
+        assert verify_telescoping(as_int) == verify_telescoping(as_float)
+        assert verify_level_bounds(as_int, 4) == verify_level_bounds(as_float, 4)
+        assert verify_level_bounds(ChaosParams(1, 1000, 3), 2).sum_norm == 1000.0
 
 
 class TestVerifyLevelBounds:
