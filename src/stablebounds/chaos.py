@@ -22,11 +22,12 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isfinite, sqrt
 
 import numpy as np
 
-from .oracle import SignFunction, collapse_lp, log_binomial_weights, sign_matrix
+from .oracle import SignFunction, _memo, collapse_lp, log_binomial_weights, sign_matrix
 
 
 @dataclass(frozen=True)
@@ -121,8 +122,13 @@ def chaos_sum_function(params: ChaosParams) -> SignFunction:
 
 
 def chaos_collapsed(params: ChaosParams):
-    """sum_i g_i as a function of S alone, for the binomial collapse."""
-    n, M, beta = params.n, params.M, params.beta
+    """sum_i g_i as a function of S alone, for the binomial collapse. Equal
+    params give the same function, so ``collapse_lp`` memoizes across callers."""
+    return _memo(_collapsed, params.n, params.M, params.beta)
+
+
+@lru_cache(maxsize=256)
+def _collapsed(n, M, beta):
     return lambda s: M * s + 0.5 * beta * (s * s - n)
 
 

@@ -9,7 +9,8 @@ files are byte-identical for any thread count.
 
 Exit codes: 0 all assertions in the run passed, 1 configuration error
 (including inputs whose arithmetic leaves the float range, such as an
-OverflowError), 2 assertion failure.
+OverflowError, and a run that ends in a MemoryError or RuntimeError),
+2 assertion failure.
 """
 
 from __future__ import annotations
@@ -272,7 +273,8 @@ def run(config: dict) -> tuple[list[dict], int]:
         raise
     except (ValueError, IndexError) as exc:
         raise ConfigError(str(exc)) from exc
-    except ArithmeticError as exc:      # a value left the float range
+    except (ArithmeticError, MemoryError, RuntimeError) as exc:
+        # a value left the float range, or the run ran out of memory or failed at run time
         raise ConfigError(f"{type(exc).__name__}: {exc}") from exc
     rows = [row for group in nested for row in group]
     exit_code = 0 if all(row["ok"] for row in rows) else 2

@@ -194,17 +194,36 @@ def log_binomial_weights(n: int) -> np.ndarray:
     return _cached_log_binomial_weights(n)
 
 
+def _memo(cached, *key):
+    """``cached(*key)``, or its uncached ``__wrapped__`` where the key is not
+    hashable, so every argument the uncached function accepts stays accepted."""
+    try:
+        hash(key)
+    except TypeError:
+        return cached.__wrapped__(*key)
+    return cached(*key)
+
+
 def collapse_lp(g: Callable[[np.ndarray], np.ndarray], n: int, p: float) -> float:
     """Exact L_p norm of g(S), S = sum of n independent signs.
 
-    ``g`` must be defined (vectorized) on the support {-n, -n+2, ..., n}.
-    Terms are evaluated in log space and accumulated in decreasing magnitude
-    order, so results are bitwise stable and immune to overflow of |g|^p.
+    ``g`` must be pure and defined (vectorized) on the support {-n, -n+2,
+    ..., n}, the contract ``SignFunction.eval`` has. Results are memoized per
+    (g, n, p) in a bounded cache, so a repeated call returns the float of the
+    first; an unhashable ``g`` is computed without it, and errors are not
+    cached. Terms are evaluated in log space and accumulated in decreasing
+    magnitude order, so results are bitwise stable and immune to overflow of
+    |g|^p.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 1 <= p < np.inf:
         raise ValueError(f"p must be finite and >= 1, got {p}")
+    return _memo(_collapse_lp, g, n, p)
+
+
+@lru_cache(maxsize=256)
+def _collapse_lp(g, n, p) -> float:
     s = 2.0 * np.arange(n + 1) - n
     vals = np.abs(np.asarray(g(s), dtype=np.float64))
     if not np.all(np.isfinite(vals)):

@@ -7,15 +7,17 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from stablebounds import cli
 from stablebounds.bounds import dyadic_sum_moment_bound, second_moment_bound
-from stablebounds.chaos import (ChaosParams, chaos_g, chaos_lp, chaos_sum,
+from stablebounds.chaos import (ChaosParams, _collapsed, chaos_g, chaos_lp, chaos_sum,
                                 chaos_sum_function, lower_ratio,
                                 paley_zygmund_certificate, second_moment_exact,
                                 tail_probability, verify_chaos_conditions)
-from stablebounds.oracle import _sign_columns, empirical_tail, enumerate_lp, sign_matrix
+from stablebounds.oracle import (MomentSpec, _collapse_lp, _sign_columns, empirical_tail,
+                                 enumerate_lp, mc_lp, sign_matrix)
 
 GRID = [ChaosParams(n, M, beta)
         for n, M, beta in product((2, 3, 4, 6, 8), (0.0, 0.5, 1.0), (0.0, 1.0, 2.5))
@@ -216,6 +218,61 @@ class TestChaosLp:
     def test_dominated_by_dyadic_bound(self, params, p):
         bound = dyadic_sum_moment_bound(p, params.n, params.beta, params.M).value
         assert chaos_lp(params, p) <= bound * (1 + 1e-12)
+
+
+class TestChaosMemo:
+    """Equal params share one collapsed function, so each distinct norm of a
+    run is evaluated once."""
+
+    @pytest.mark.parametrize("first", [0, 0.0, -0.0])
+    def test_signed_zero_M_gives_equal_norms(self, first):
+        _collapsed.cache_clear()
+        for p in (2, 3.5, 8):
+            expected = _collapse_lp.__wrapped__(lambda s: 0.5 * (s * s - 6), 6, p)
+            got = [chaos_lp(ChaosParams(6, M, 1.0), p) for M in (first, 0, 0.0, -0.0)]
+            assert got == [expected] * 4
+
+    def test_unhashable_params_are_computed(self):
+        # a 0-d array M makes the params unhashable; the norm skips the cache
+        params = ChaosParams(6, np.array(0.5), 1.0)
+        with pytest.raises(TypeError):
+            hash(params)
+        assert chaos_lp(params, 3.5) == chaos_lp(ChaosParams(6, 0.5, 1.0), 3.5)
+
+    def test_cli_chaos_evaluates_each_norm_once(self):
+        # Derived from cli._row_chaos, not fitted to a run: a row at order p
+        # asks for the norm at p (again in lower_ratio when 8 <= p <= n, and
+        # in the Paley-Zygmund certificate), at 2p (the certificate) and at 2
+        # (second moment). Rows p = 2 and p = 8 of one (n, M) thus need the
+        # orders {2, 4} and {8, 16, 2}: 4 distinct norms per (n, M), 16 in all.
+        _collapse_lp.cache_clear()
+        _collapsed.cache_clear()
+        rows, code = cli.run({"command": "chaos", "threads": 1,
+                              "grid": {"n": [12, 40], "M": [0, 1], "beta": [1], "p": [2, 8]}})
+        assert (len(rows), code) == (8, 0)
+        assert _collapse_lp.cache_info().misses == 16
+
+
+class TestCrossRoutes:
+    """The three oracle routes on the chaos sum: enumeration, binomial
+    collapse and seeded Monte Carlo."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 12), M=_QUARTERS, beta=_QUARTERS,
+           p=st.sampled_from([1, 2, 3.5, 8]))
+    def test_enumeration_equals_collapse(self, n, M, beta, p):
+        assume((M, beta) != (0.0, 0.0))
+        params = ChaosParams(n, M, beta)
+        assert enumerate_lp(chaos_sum_function(params), p) == pytest.approx(
+            chaos_lp(params, p), rel=1e-10)
+
+    @pytest.mark.parametrize("n,M,beta", [(4, 1.0, 0.25), (8, 0.0, 1.0), (12, 0.5, 2.0)])
+    @pytest.mark.parametrize("p", [1, 2, 3.5, 8])
+    def test_monte_carlo_batches_bracket_exact(self, n, M, beta, p):
+        params = ChaosParams(n, M, beta)
+        exact = chaos_lp(params, p)
+        est = mc_lp(chaos_sum_function(params), MomentSpec(p=p, reps=20_000, seed=11))
+        assert est.batch_min <= exact <= est.batch_max
 
 
 class TestLowerRatio:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import stablebounds
+from stablebounds import cli
 from stablebounds.cli import ConfigError, main, run
 
 DATA = Path(__file__).parent / "data"
@@ -190,6 +191,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: OverflowError")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("exc", [MemoryError("no room"), RuntimeError("gave out")])
+    def test_memory_and_runtime_errors_are_error_exit(self, tmp_path, capsys, monkeypatch, exc):
+        def evaluator(point, cfg, seed):
+            raise exc
+
+        monkeypatch.setitem(cli._EVALUATORS, "chaos", evaluator)
+        assert run_main(["chaos", "--n", "8", "--M", "1", "--beta", "1", "--p", "2",
+                         "--out", tmp_path / "c.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {type(exc).__name__}: {exc}\n"
+        assert not (tmp_path / "c.csv").exists()
 
     @pytest.mark.parametrize("scale", ["1e300", "1e-300"])
     def test_paley_zygmund_rhs_at_extreme_norms(self, tmp_path, scale):

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from stablebounds.oracle import (MomentSpec, SignFunction, _mc_values,
-                                 _sign_columns, collapse_lp,
+from stablebounds.oracle import (MomentSpec, SignFunction, _collapse_lp,
+                                 _mc_values, _sign_columns, collapse_lp,
                                  constant_function, coordinate_function,
                                  empirical_tail, enumerate_lp,
                                  hitczenko_functional,
@@ -169,6 +169,50 @@ class TestCollapseLp:
         with pytest.raises(ValueError, match="non-finite"):
             with np.errstate(divide="ignore"):
                 collapse_lp(lambda s: 1.0 / (s + 4.0), 4, 2)   # pole at s = -4
+
+
+class TestCollapseMemo:
+    """``collapse_lp`` memoizes per (g, n, p): a hit must be the float a
+    fresh, uncached evaluation gives, and nothing else may be shared."""
+
+    def test_repeated_and_interleaved_orders_equal_fresh(self):
+        g = lambda s: 0.5 * s + 0.25 * (s * s - 40.0)
+        orders = [2, 8, 2, 3.5, 8, 16, 2, 3.5, 16]
+        got = [collapse_lp(g, 40, p) for p in orders]
+        assert got == [_collapse_lp.__wrapped__(g, 40, p) for p in orders]
+
+    def test_closures_never_share_an_entry(self):
+        # same code, different closures; more of them than the cache holds,
+        # so evicted functions are freed and their ids can be reused
+        make = lambda c: (lambda s: c * s + 0.5 * (s * s - 6.0))
+        for c in range(300):
+            g = make(float(c))
+            assert collapse_lp(g, 6, 3) == _collapse_lp.__wrapped__(g, 6, 3)
+        a, b = make(1.0), make(2.0)
+        assert collapse_lp(a, 6, 3) != collapse_lp(b, 6, 3)
+
+    def test_non_finite_raises_on_every_call(self):
+        g = lambda s: 1.0 / (s + 4.0)       # pole at s = -4
+        for _ in range(3):
+            with pytest.raises(ValueError, match="non-finite"), np.errstate(divide="ignore"):
+                collapse_lp(g, 4, 2)
+
+    def test_unhashable_callable_is_computed(self):
+        class Scaled:
+            def __init__(self, c):
+                self.c = c
+
+            def __eq__(self, other):        # no __hash__: instances are unhashable
+                return isinstance(other, Scaled) and other.c == self.c
+
+            def __call__(self, s):
+                return self.c * s
+
+        g = Scaled(2.0)
+        with pytest.raises(TypeError):
+            hash(g)
+        assert collapse_lp(g, 100, 2) == pytest.approx(20.0, rel=1e-12)
+        assert collapse_lp(g, 100, 2) == _collapse_lp.__wrapped__(g, 100, 2)
 
 
 class TestLogBinomialWeights:
