@@ -10,7 +10,7 @@ from .bounds import (BoundInputs, BoundValue, CappedMomentBound,
                      moments_from_tail, second_moment_bound,
                      tail_from_moments, variance_bound)
 from .chaos import (ChaosParams, TailCertificate, chaos_g, chaos_lp,
-                    chaos_sum, lower_ratio, paley_zygmund_certificate,
+                    lower_ratio, paley_zygmund_certificate,
                     verify_chaos_conditions)
 from .lab import (Dataset, Example, FiniteDistribution, LearnerSpec,
                   bernoulli_labels, clipped_mean_learner, constant_learner,
@@ -21,7 +21,7 @@ from .oracle import (MomentSpec, MonteCarloNorm, SignFunction, collapse_lp,
                      empirical_tail, enumerate_lp, hitczenko_functional,
                      latala_allones_estimate, mc_lp)
 from .partition import (PartitionTree, block_of, build_partition,
-                        telescope_term_chaos, telescope_term_generic,
-                        verify_level_bounds, verify_telescoping)
+                        telescope_term_generic, verify_level_bounds,
+                        verify_telescoping)
 
 __version__ = "0.1.0"

@@ -22,6 +22,8 @@ from typing import Mapping
 
 import numpy as np
 
+from .oracle import lp_norm
+
 EXPLICIT = "explicit"
 SHAPE = "shape"
 
@@ -220,7 +222,7 @@ def classical_moment_bound(kind: str, *, n: int, p: float,
             raise ValueError(f"mz expects {n} norms, got {w.size}")
         if np.any(w < 0):
             raise ValueError("norms must be non-negative")
-        return 3 * sqrt(2 * n * p) * float(np.mean(w ** p)) ** (1.0 / p)
+        return 3 * sqrt(2 * n * p) * lp_norm(w, p)
     raise ValueError(f"unknown classical bound kind {kind!r}")
 
 

@@ -24,6 +24,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isfinite, sqrt
+from numbers import Integral
 
 import numpy as np
 
@@ -39,8 +40,8 @@ class ChaosParams:
     beta: float
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        if not isinstance(self.n, Integral) or self.n < 1:
+            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
         for name in ("M", "beta"):
             v = getattr(self, name)
             if not np.isfinite(v) or v < 0:
@@ -102,16 +103,6 @@ def chaos_g(i: int, z, params: ChaosParams) -> float:
     if not 0 <= i < params.n:
         raise IndexError(f"index {i} out of range for n={params.n}")
     return float(params.M * zz[i] + 0.5 * params.beta * zz[i] * (zz.sum() - zz[i]))
-
-
-def chaos_sum(z, params: ChaosParams) -> float:
-    """sum_i g_i(z) via the closed form M*S + (beta/2)*S^2 - (beta/2)*n
-    (the identity with the direct sum of ``chaos_g`` is tested separately)."""
-    zz = np.asarray(z, dtype=np.float64)
-    if zz.shape != (params.n,):
-        raise ValueError(f"z must have shape ({params.n},), got {zz.shape}")
-    s = float(zz.sum())
-    return params.M * s + 0.5 * params.beta * s * s - 0.5 * params.beta * params.n
 
 
 def chaos_sum_function(params: ChaosParams) -> SignFunction:

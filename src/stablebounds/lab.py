@@ -62,8 +62,8 @@ class FiniteDistribution:
     def __post_init__(self):
         if len(self.support) != len(self.probs) or not self.support:
             raise ValueError("support and probs must be non-empty and match")
-        if any(q < 0 for q in self.probs):
-            raise ValueError("probabilities must be non-negative")
+        if not all(np.isfinite(q) and q >= 0 for q in self.probs):
+            raise ValueError("probabilities must be finite and non-negative")
         if abs(sum(self.probs) - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {sum(self.probs)!r}, not 1")
 

@@ -232,8 +232,8 @@ def _collapse_lp(g, n, p) -> float:
     with np.errstate(divide="ignore", over="ignore"):
         terms = logw + p * np.log(vals)
     top = vals.max() if p > 1e305 else 0.0      # p * log|g| is in range below (|log v| < 745)
-    if top > 0 and not np.isfinite(terms[np.argmax(vals)]):
-        return float(top * collapse_lp(lambda s: g(s) / top, n, p))     # max|g| * ||g / max|g|||
+    if top > 0 and not np.isfinite(terms[np.argmax(vals)]):    # max|g| * ||g / max|g|||,
+        return float(top * _collapse_lp.__wrapped__(lambda s: g(s) / top, n, p))  # uncached
     terms = terms[np.isfinite(terms)]       # zero outcomes contribute nothing
     if terms.size == 0:
         return 0.0

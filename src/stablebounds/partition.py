@@ -24,7 +24,7 @@ row (z_i itself at level 0), and blocks of padding alone are not stored.
 Every term of a block has the same norm, (beta/2)*||sibling sum||_p, since
 |z_i| = 1. Norms whose |v|^p leaves the float range are taken scaled by
 max|v|. A slow generic conditional-expectation path (nested enumeration) is
-kept alongside the closed form as an independent cross-check.
+kept as an independent cross-check of the verifiers' block sums.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from math import sqrt
 import numpy as np
 
 from .bounds import dyadic_sum_moment_bound
-from .chaos import ChaosParams
+from .chaos import ChaosParams, chaos_collapsed
 from .oracle import SignFunction, lp_norm, sign_matrix
 
 _SQRT2 = sqrt(2.0)
@@ -81,34 +81,6 @@ def block_of(tree: PartitionTree, i: int, l: int) -> range:
         raise ValueError(f"level {l} out of range 0..{tree.k}")
     start = (i >> l) << l
     return range(start, start + (1 << l))
-
-
-def sibling_block(tree: PartitionTree, i: int, l: int) -> range:
-    """B^{l+1}(i) \\ B^l(i): the level-l block merged with i's at level l+1."""
-    if not 0 <= l < tree.k:
-        raise ValueError(f"level {l} out of range 0..{tree.k - 1}")
-    sib = ((i >> l) ^ 1) << l
-    return range(sib, sib + (1 << l))
-
-
-def conditioned_chaos(tree: PartitionTree, i: int, l: int, z, params: ChaosParams) -> float:
-    """g_i^l(z) for the chaos family (closed-form conditional expectation)."""
-    zz = _check_z(tree, z, params)
-    if i >= params.n:
-        return 0.0                      # padded index: function is identically 0
-    block = block_of(tree, i, l)
-    outside = float(zz.sum()) - float(zz[block.start:min(block.stop, params.n)].sum())
-    return float(params.M * zz[i] + 0.5 * params.beta * zz[i] * outside)
-
-
-def telescope_term_chaos(tree: PartitionTree, i: int, l: int, z, params: ChaosParams) -> float:
-    """g_i^l - g_i^{l+1} = (beta/2)*z_i*sum over the sibling block (closed form)."""
-    zz = _check_z(tree, z, params)
-    sib = sibling_block(tree, i, l)
-    if i >= params.n:
-        return 0.0
-    inner = float(zz[sib.start:min(sib.stop, params.n)].sum())
-    return float(0.5 * params.beta * zz[i] * inner)
 
 
 def telescope_term_generic(f: SignFunction, tree: PartitionTree, i: int, l: int, z) -> float:
@@ -174,6 +146,12 @@ def _enumerated(params: ChaosParams):
     return tree, sums
 
 
+def _sibling_sum(sums, i: int, l: int):
+    """Row of block sums over B^{l+1}(i) \\ B^l(i), or None where it is padding alone."""
+    sib = (i >> l) ^ 1
+    return sums[l][sib] if sib < len(sums[l]) else None
+
+
 def verify_telescoping(params: ChaosParams) -> TelescopeReport:
     """Check the telescoping identity on every sign vector and index."""
     n, M, half_beta = params.n, float(params.M), float(0.5 * params.beta)
@@ -186,9 +164,9 @@ def verify_telescoping(params: ChaosParams) -> TelescopeReport:
         g_i = M * zi + half_zi * (total - zi)
         acc = np.zeros(len(zi))
         for l in range(tree.k):
-            sib = (i >> l) ^ 1
-            if sib < len(sums[l]):                # a padding sibling adds 0
-                acc += half_zi * sums[l][sib]
+            sib = _sibling_sum(sums, i, l)
+            if sib is not None:                   # a padding sibling adds 0
+                acc += half_zi * sib
         dev = float(np.max(np.abs(acc - (g_i - M * zi))))
         worst = max(worst, dev)
     return TelescopeReport(n=n, max_deviation=worst)
@@ -232,8 +210,9 @@ def verify_level_bounds(params: ChaosParams, p: float) -> LevelBoundsReport:
         raise ValueError(f"p must be >= 2, got {p}")
     n = params.n
     tree, sums = _enumerated(params)
-    total = sums[-1][0]
-    beta, M, half_beta = params.beta, float(params.M), float(0.5 * params.beta)
+    # float64: at n = 1 this is the int8 row, which an int M or p overflows
+    total = np.asarray(sums[-1][0], dtype=np.float64)
+    beta, half_beta = params.beta, float(0.5 * params.beta)
 
     term_slacks = []
     block_slacks = []
@@ -244,16 +223,17 @@ def verify_level_bounds(params: ChaosParams, p: float) -> LevelBoundsReport:
         block_bound = 6.0 * _SQRT2 * p * (1 << l) * beta
         level_bound = 6.0 * _SQRT2 * p * tree.n_padded * beta
         level_values = np.zeros(len(total))
-        for b, block in enumerate(tree.blocks(l)):
+        for block in tree.blocks(l):
             real = range(block.start, min(block.stop, n))
-            if not real or b ^ 1 >= len(sums[l]):
+            sib = _sibling_sum(sums, block.start, l)
+            if not real or sib is None:
                 # padding alone, or beside padding alone: every value is 0
                 term_slacks.extend([term_bound] * len(real))
                 block_slacks.append(block_bound)
                 continue
             # term_i = z_i * (beta/2) * sib and |z_i| = 1, so every term of
             # the block has the norm of (beta/2) * sib
-            half_sib = half_beta * sums[l][b ^ 1]
+            half_sib = half_beta * sib
             term_slacks.extend([term_bound - lp_norm(half_sib, p)] * len(real))
             block_values = np.zeros(len(total))
             for i in real:
@@ -263,8 +243,7 @@ def verify_level_bounds(params: ChaosParams, p: float) -> LevelBoundsReport:
         level_norms.append(lp_norm(level_values, p))
         level_slacks.append(level_bound - level_norms[-1])
 
-    g_sum = M * total + 0.5 * beta * (total * total - n)
-    sum_norm = lp_norm(g_sum, p)
+    sum_norm = lp_norm(chaos_collapsed(params)(total), p)
     chain_value = params.M * lp_norm(total, p) + float(np.sum(level_norms))
     chain_bound = (4.0 * params.M * sqrt(p * n)
                    + 6.0 * _SQRT2 * p * tree.n_padded * beta * tree.k)
@@ -287,12 +266,3 @@ def verify_level_bounds(params: ChaosParams, p: float) -> LevelBoundsReport:
         chain_bound=chain_bound,
         final_bound=final,
     )
-
-
-def _check_z(tree: PartitionTree, z, params: ChaosParams) -> np.ndarray:
-    if params.n != tree.n_original:
-        raise ValueError(f"tree was built for n={tree.n_original}, params have n={params.n}")
-    zz = np.asarray(z, dtype=np.float64)
-    if zz.shape != (params.n,):
-        raise ValueError(f"z must have shape ({params.n},), got {zz.shape}")
-    return zz

@@ -2,6 +2,7 @@
 constants, and the ordering/monotonicity properties the formulas promise."""
 
 import math
+import warnings
 from itertools import product
 
 import numpy as np
@@ -179,6 +180,15 @@ class TestClassicalMomentBounds:
     def test_marcinkiewicz_zygmund(self):
         got = classical_moment_bound("mz", n=2, p=2, norms=(1.0, 1.0))
         assert got == pytest.approx(3 * math.sqrt(8.0), rel=1e-12)
+
+    @pytest.mark.parametrize("w", [10.0, 1e-5])
+    def test_marcinkiewicz_zygmund_out_of_range_norms(self, w):
+        # w**p overflows at w = 10 and underflows at w = 1e-5 when p = 400;
+        # the bound is 3*sqrt(2*n*p)*w = 120*w either way, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = classical_moment_bound("mz", n=2, p=400, norms=(w, w))
+        assert got == pytest.approx(120.0 * w, rel=1e-12)
 
     def test_mz_rejects_empty_norms(self):
         with pytest.raises(ValueError, match="non-empty"):

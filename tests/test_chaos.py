@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from stablebounds import cli
 from stablebounds.bounds import dyadic_sum_moment_bound, second_moment_bound
-from stablebounds.chaos import (ChaosParams, _collapsed, chaos_g, chaos_lp, chaos_sum,
+from stablebounds.chaos import (ChaosParams, _collapsed, chaos_g, chaos_lp,
                                 chaos_sum_function, lower_ratio,
                                 paley_zygmund_certificate, second_moment_exact,
                                 tail_probability, verify_chaos_conditions)
@@ -47,27 +47,30 @@ class TestChaosG:
 
 
 class TestChaosSum:
+    """The closed form the package runs: ``chaos_sum_function`` on sign rows."""
+
     def test_pure_quadratic_n2(self):
-        params = ChaosParams(2, 0.0, 2.0)
-        values = {chaos_sum(z, params) for z in map(tuple, sign_matrix(2))}
-        assert values == {2.0, -2.0}
+        values = chaos_sum_function(ChaosParams(2, 0.0, 2.0)).eval(sign_matrix(2))
+        assert set(values.tolist()) == {2.0, -2.0}
 
     def test_beta_zero_reduces_to_plain_sum(self):
-        params = ChaosParams(5, 1.0, 0.0)
-        for z in sign_matrix(5)[::7]:
-            assert chaos_sum(z, params) == pytest.approx(float(z.sum()))
+        rows = sign_matrix(5)[::7]
+        values = chaos_sum_function(ChaosParams(5, 1.0, 0.0)).eval(rows)
+        assert values == pytest.approx(rows.sum(axis=1))
 
     def test_all_ones_vector(self):
         n, beta = 6, 1.5
-        params = ChaosParams(n, 0.0, beta)
-        assert chaos_sum([1] * n, params) == pytest.approx(0.5 * beta * (n * n - n))
+        values = chaos_sum_function(ChaosParams(n, 0.0, beta)).eval(np.ones((1, n), np.int8))
+        assert values[0] == pytest.approx(0.5 * beta * (n * n - n))
 
     @pytest.mark.parametrize("params", GRID[::3])
     def test_identity_with_direct_sum(self, params):
         # spec-level invariant: closed form equals sum of chaos_g to 1e-12
-        for z in sign_matrix(params.n):
+        rows = sign_matrix(params.n)
+        closed = chaos_sum_function(params).eval(rows)
+        for z, value in zip(rows, closed):
             direct = sum(chaos_g(i, z, params) for i in range(params.n))
-            assert abs(direct - chaos_sum(z, params)) <= 1e-12
+            assert abs(direct - value) <= 1e-12
 
 
 class TestVerifyConditions:
@@ -340,6 +343,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="M"):
             ChaosParams(4, -1.0, 1.0)
 
+    @pytest.mark.parametrize("n", [2.5, 4.0, "4"])
+    def test_rejects_non_integer_n(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            ChaosParams(n, 1.0, 1.0)
+
+    @pytest.mark.parametrize("n", [4, np.int64(4), np.int8(4)])
+    def test_accepts_python_and_numpy_integers(self, n):
+        assert chaos_lp(ChaosParams(n, 1.0, 1.0), 2) == chaos_lp(ChaosParams(4, 1.0, 1.0), 2)
+
     def test_rejects_bad_vector_shape(self):
         with pytest.raises(ValueError, match="shape"):
-            chaos_sum([1, 1, 1], ChaosParams(4, 1.0, 1.0))
+            chaos_g(0, [1, 1, 1], ChaosParams(4, 1.0, 1.0))

@@ -50,6 +50,12 @@ class TestDistributions:
             FiniteDistribution(support=(Example(0, 0), Example(0, 1)),
                                probs=(0.5, 0.4))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+    def test_probabilities_must_be_finite_and_non_negative(self, bad):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            FiniteDistribution(support=(Example(0, 0), Example(0, 1)),
+                               probs=(bad, 1.0))
+
     def test_sampling_is_seeded(self):
         rng1 = np.random.Generator(np.random.Philox(key=np.uint64(9)))
         rng2 = np.random.Generator(np.random.Philox(key=np.uint64(9)))

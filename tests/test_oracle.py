@@ -197,6 +197,13 @@ class TestCollapseMemo:
             with pytest.raises(ValueError, match="non-finite"), np.errstate(divide="ignore"):
                 collapse_lp(g, 4, 2)
 
+    def test_large_p_fallback_adds_one_entry(self):
+        # the scaled function of the out-of-range path is evaluated uncached:
+        # a fresh closure could never hit, and its entry would keep g alive
+        _collapse_lp.cache_clear()
+        assert collapse_lp(lambda s: 1e10 * s, 4, 1e308) == 4e10
+        assert _collapse_lp.cache_info().currsize == 1
+
     def test_unhashable_callable_is_computed(self):
         class Scaled:
             def __init__(self, c):

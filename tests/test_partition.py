@@ -1,17 +1,18 @@
 """Partition scheme tests: structure, the telescoping identity, the generic
-conditional-expectation path against the closed form, and the per-layer
-moment bounds."""
+conditional-expectation path against the verifiers' block sums, and the
+per-layer moment bounds."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from stablebounds.chaos import ChaosParams, chaos_g
+from stablebounds.chaos import ChaosParams, chaos_g, chaos_lp
 from stablebounds.oracle import sign_matrix
-from stablebounds.partition import (PartitionTree, block_of, build_partition,
-                                    conditioned_chaos, sibling_block,
-                                    telescope_term_chaos,
+from stablebounds.partition import (PartitionTree, _enumerated, _sibling_sum,
+                                    block_of, build_partition,
                                     telescope_term_generic,
                                     verify_level_bounds, verify_telescoping)
 
@@ -73,12 +74,6 @@ class TestBlockOf:
         assert list(block_of(tree, 5, 0)) == [5]
         assert block_of(tree, 5, tree.k) == range(0, 8)
 
-    def test_sibling(self):
-        tree = build_partition(8)
-        assert sibling_block(tree, 5, 0) == range(4, 5)
-        assert sibling_block(tree, 5, 1) == range(6, 8)
-        assert sibling_block(tree, 5, 2) == range(0, 4)
-
     def test_out_of_range(self):
         tree = build_partition(4)
         with pytest.raises(IndexError):
@@ -87,67 +82,42 @@ class TestBlockOf:
             block_of(tree, 0, 3)
 
 
-class TestTelescopeTermChaos:
-    def test_direct_substitution(self):
-        tree = build_partition(2)
-        params = ChaosParams(2, 0.0, 2.0)
-        assert telescope_term_chaos(tree, 0, 0, [1, -1], params) == pytest.approx(-1.0)
+class TestGenericConditionalPath:
+    """The nested-enumeration reference path must reproduce the terms the
+    verifiers build from their own block sums."""
 
-    def test_beta_zero_vanishes(self):
-        tree = build_partition(4)
-        params = ChaosParams(4, 2.0, 0.0)
-        for z in sign_matrix(4)[::3]:
-            for i in range(4):
-                for l in range(tree.k):
-                    assert telescope_term_chaos(tree, i, l, z, params) == 0.0
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
-    def test_terms_plus_linear_part_recover_g(self, n):
-        tree = build_partition(n)
-        params = ChaosParams(n, 1.0, 1.5)
-        for z in sign_matrix(n):
-            for i in range(n):
-                total = sum(telescope_term_chaos(tree, i, l, z, params)
-                            for l in range(tree.k))
-                assert total + params.M * z[i] == pytest.approx(
-                    chaos_g(i, z, params), abs=1e-12)
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 8), M=st.integers(0, 12).map(lambda q: q / 4),
+           beta=st.integers(0, 12).map(lambda q: q / 4), r=st.integers(0, 255))
+    @example(n=2, M=0.0, beta=2.0, r=1)       # z = (+1, -1): each term is -1
+    @example(n=4, M=2.0, beta=0.0, r=5)       # beta = 0: every term vanishes
+    @example(n=3, M=0.5, beta=1.5, r=6)       # index 2 has a padding sibling
+    def test_matches_verifier_block_sums(self, n, M, beta, r):
+        # the term is (beta/2) * z_i * (sum over the sibling block), read from
+        # the rows the verifiers use; the terms and M*z_i rebuild g_i
+        params = ChaosParams(n, M, beta)
+        tree, sums = _enumerated(params)
+        r %= 1 << n                              # a row of sign_matrix(n)
+        z = sign_matrix(n)[r]
+        for i in range(n):
+            g_i = _chaos_g_function(params, i)
+            total = 0.0
+            for l in range(tree.k):
+                generic = telescope_term_generic(g_i, tree, i, l, z)
+                sib = _sibling_sum(sums, i, l)
+                if sib is None:                  # the sibling block is padding alone
+                    assert generic == 0.0
+                    continue
+                expected = 0.5 * beta * sums[0][i][r] * sib[r]
+                assert abs(generic - expected) <= 1e-12
+                total += generic
+            assert abs(total + M * z[i] - chaos_g(i, z, params)) <= 1e-12
 
     def test_level_out_of_range(self):
         tree = build_partition(4)
         with pytest.raises(ValueError, match="level"):
-            telescope_term_chaos(tree, 0, 2, [1, 1, 1, 1], ChaosParams(4, 1.0, 1.0))
-
-
-class TestGenericConditionalPath:
-    """The nested-enumeration reference path must reproduce the closed-form
-    conditional expectations of the chaos family."""
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
-    def test_matches_closed_form(self, n):
-        tree = build_partition(n)
-        params = ChaosParams(n, 0.5, 2.0)
-        rng = np.random.Generator(np.random.Philox(key=np.uint64(5)))
-        vectors = sign_matrix(n) if n <= 4 else (
-            2 * rng.integers(0, 2, size=(12, n), dtype=np.int8) - 1)
-        for i in range(n):
-            g_i = _chaos_g_function(params, i)
-            for z in vectors:
-                for l in range(tree.k):
-                    generic = telescope_term_generic(g_i, tree, i, l, z)
-                    closed = telescope_term_chaos(tree, i, l, z, params)
-                    assert generic == pytest.approx(closed, abs=1e-12)
-
-    def test_conditioned_chaos_matches_generic_mean(self):
-        n, i, l = 6, 1, 2
-        tree = build_partition(n)
-        params = ChaosParams(n, 1.0, 1.0)
-        g_i = _chaos_g_function(params, i)
-        z = np.array([1, -1, 1, 1, -1, 1], dtype=np.int8)
-        lower = telescope_term_generic(g_i, tree, i, l - 1, z)
-        # conditioned values telescope: g^{l-1} - g^l equals the generic term
-        assert (conditioned_chaos(tree, i, l - 1, z, params)
-                - conditioned_chaos(tree, i, l, z, params)) == pytest.approx(
-            lower, abs=1e-12)
+            telescope_term_generic(_chaos_g_function(ChaosParams(4, 1.0, 1.0), 0),
+                                   tree, 0, 2, [1, 1, 1, 1])
 
     def test_cap_enforced(self):
         tree = build_partition(16)
@@ -222,6 +192,15 @@ class TestVerifyLevelBounds:
         assert report.levels.violations == 0
         assert report.passed
 
+    @pytest.mark.parametrize("params", [ChaosParams(1, 2.0, 0.5), ChaosParams(6, 0.5, 2.0),
+                                        ChaosParams(13, 10.0, 0.1)])
+    @pytest.mark.parametrize("p", [2, 7.5, 1024])
+    def test_sum_norm_matches_collapse(self, params, p):
+        # two exact routes to ||sum_i g_i||_p: the enumerated closed form and
+        # the binomial collapse
+        assert verify_level_bounds(params, p).sum_norm == pytest.approx(
+            chaos_lp(params, p), rel=1e-12)
+
     def test_chain_orders_up_to_final_bound(self):
         report = verify_level_bounds(ChaosParams(8, 1.0, 1.0), 4)
         assert (report.sum_norm <= report.chain_value
@@ -246,18 +225,17 @@ class TestTermNormClosedForm:
     def test_enumerated_term_norm_matches_collapse(self, n, p):
         from stablebounds.oracle import SignFunction, collapse_lp, enumerate_lp, lp_norm
         beta = 1.3
-        params = ChaosParams(n, 0.7, beta)
-        tree = build_partition(n)
-        i = 0   # sibling block for index 0 at level l is [2^l, 2^(l+1))
+        tree, sums = _enumerated(ChaosParams(n, 0.7, beta))
+        i = 0   # sibling block for index 0 at level l is [2^l, 2^(l+1)), block 1
         for l in range(tree.k):
             d = 1 << l
             term = SignFunction(n, lambda rows, d=d: (
                 0.5 * beta * rows[:, i].astype(np.float64)
                 * rows[:, d:2 * d].sum(axis=1, dtype=np.float64)))
-            # the vectorized form is the op's closed form, spot-checked here
-            for z in sign_matrix(n)[:: max(1, (1 << n) // 8)]:
-                assert term.eval(z[None, :])[0] == pytest.approx(
-                    telescope_term_chaos(tree, i, l, z, params), abs=1e-12)
+            # the vectorized form is the verifiers' term, spot-checked here
+            step = max(1, (1 << n) // 8)
+            assert term.eval(sign_matrix(n)[::step]) == pytest.approx(
+                0.5 * beta * (sums[0][i] * sums[l][1])[::step], abs=1e-12)
             expected = 0.5 * beta * collapse_lp(lambda s: s, d, p)
             # the verifiers' norm: |v|^p leaves the float range at large p
             assert lp_norm(term.eval(sign_matrix(n)), p) == pytest.approx(expected, rel=1e-10)
