@@ -28,7 +28,8 @@ from numbers import Integral
 
 import numpy as np
 
-from .oracle import SignFunction, _memo, collapse_lp, log_binomial_weights, sign_matrix
+from .oracle import (SignFunction, _check_collapse_n, _memo, collapse_lp,
+                     log_binomial_weights, sign_matrix)
 
 
 @dataclass(frozen=True)
@@ -124,7 +125,8 @@ def _collapsed(n, M, beta):
 
 
 def chaos_lp(params: ChaosParams, p: float) -> float:
-    """Exact ||sum_i g_i||_p at any n (the sum factors through S)."""
+    """Exact ||sum_i g_i||_p at any n up to the collapse cap (the sum factors
+    through S)."""
     return collapse_lp(chaos_collapsed(params), params.n, p)
 
 
@@ -191,10 +193,12 @@ def lower_ratio(params: ChaosParams, p: float) -> float:
 
 
 def tail_probability(params: ChaosParams, t: float) -> float:
-    """Exact P(|sum_i g_i| >= t) via binomial weights (any n)."""
+    """Exact P(|sum_i g_i| >= t) via binomial weights (any n up to the collapse
+    cap)."""
     if t < 0:
         raise ValueError(f"threshold must be >= 0, got {t}")
     n = params.n
+    _check_collapse_n(n)
     s = 2.0 * np.arange(n + 1) - n
     vals = np.abs(np.asarray(chaos_collapsed(params)(s), dtype=np.float64))
     w = np.exp(log_binomial_weights(n))

@@ -13,7 +13,9 @@ gap quantiles against every closed-form generalization bound.
 
 All of them, and ``estimate_gamma``, read the loss arrays of ``_losses``:
 the learner's array form ``LearnerSpec.batch_losses`` (the four shipped
-learners have one), else the same arrays built one dataset at a time. The
+learners have one), else the same arrays built one dataset at a time
+(sampled ``estimate_gamma`` then builds only the one refit each trial reads).
+Sample sizes are capped at ``_MAX_N``, checked before any dataset is drawn. The
 batched replace-one kernel ``_replace_one`` sums them left to right, so its
 floats equal those of the per-example reference ``replace_one_terms``.
 
@@ -36,9 +38,12 @@ from .bounds import (BoundInputs, ceil_log2, generalization_bound,
 Predictor = Callable[[object], object]
 
 # Float64 cells (examples x support points^2 x datasets) in one block of the
-# replace-one kernel: bounds its temporaries at about 0.5 MB each, whatever
-# n and the number of datasets.
+# replace-one kernel: its temporaries hold about 0.5 MB each, whatever the
+# number of datasets, while n * K^2 <= 2^16. Past that a block is one dataset,
+# and the kernel holds about 116 B per example at K = 2.
 _BLOCK_CELLS = 1 << 16
+# The largest sample size drawn: about 120 MB for one dataset at K = 2.
+_MAX_N = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -212,10 +217,16 @@ def _replace_one(spec: LearnerSpec, dist: FiniteDistribution, idx: np.ndarray,
     return gaps, q * (_ordered_sum(q * refit_losses, axis=2) - own)
 
 
+def _check_n(n: int) -> None:
+    if n > _MAX_N:
+        raise ValueError(f"n = {n} exceeds the sample size cap {_MAX_N}")
+
+
 def _draws(dist: FiniteDistribution, n: int, reps: int, rng: np.random.Generator):
     """Support indices of ``reps`` seeded datasets as (rows, idx) blocks, idx
     of shape (n, len(rows)); the random stream of one ``dist.sample(rng, n)``
     per dataset."""
+    _check_n(n)
     k = len(dist.support)
     block = max(1, _BLOCK_CELLS // (n * k * k))
     probs = np.asarray(dist.probs)
@@ -340,9 +351,12 @@ def estimate_gamma(spec: LearnerSpec, dist: FiniteDistribution, n: int,
                    trials: int = 1000, seed: int = 0, mode: str = "auto",
                    exhaustive_cap: int = 2_000_000) -> GammaEstimate:
     """max over (S, i, z', (x,y)) of |loss(A_S(x),y) - loss(A_{S^i}(x),y)|, z' != z_i
-    when exhaustive, from ``_losses`` in blocks of about ``_BLOCK_CELLS`` cells."""
+    when exhaustive, from ``_losses`` in blocks of about ``_BLOCK_CELLS`` cells.
+    Sampled trials read the array form in blocks too; a learner without one
+    fits each drawn dataset and refits only its drawn replacement."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    _check_n(n)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if mode not in ("auto", "exhaustive", "sampled"):
@@ -371,11 +385,27 @@ def estimate_gamma(spec: LearnerSpec, dist: FiniteDistribution, n: int,
         for row in draws:           # per trial, in stream order: dataset, i, z', test point
             row[:n] = rng.choice(k, size=n, p=probs)
             row[n:] = rng.integers(n), rng.choice(k, p=probs), rng.choice(k, p=probs)
-        i, repl, test = draws[:, n:].T
-        base, moved = _losses(spec, dist, np.ascontiguousarray(draws[:, :n].T), True)
-        cols = np.arange(len(draws))
-        worst = max(worst, float(np.abs(moved[i, repl, test, cols] - base[test, cols]).max()))
+        if spec.batch_losses is None:   # the drawn refit alone, not all n * K of them
+            change = np.array([_drawn_change(spec, dist.support, row) for row in draws.tolist()])
+        else:
+            i, repl, test = draws[:, n:].T
+            base, moved = spec.batch_losses(np.ascontiguousarray(draws[:, :n].T), dist, True)
+            cols = np.arange(len(draws))
+            change = np.abs(moved[i, repl, test, cols] - base[test, cols])
+        worst = max(worst, float(change.max()))
     return GammaEstimate(value=worst, mode="sampled", evaluations=trials)
+
+
+def _drawn_change(spec: LearnerSpec, support: tuple, row: list) -> float:
+    """|loss(A_{S^i}(x), y) - loss(A_S(x), y)| for one sampled trial ``row``
+    (support indices of S, then i, z', (x, y)): the entry of ``_losses`` it
+    reads, from one fit and one refit."""
+    *col, i, k, j = row
+    ds = tuple(support[a] for a in col)
+    h = spec.fit(ds)
+    g = h if support[k] == ds[i] else refit(spec, ds, h, i, support[k])
+    e = support[j]
+    return abs(float(spec.loss(g(e.x), e.y)) - float(spec.loss(h(e.x), e.y)))
 
 
 @dataclass(frozen=True)
@@ -533,6 +563,7 @@ def check_deterministic(spec: LearnerSpec, dist: FiniteDistribution, n: int,
                         seed: int = 0) -> None:
     """Reject randomized rules: two fits of the same data must agree on the
     whole support."""
+    _check_n(n)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     ds = dist.sample(rng, n)
     h1, h2 = spec.fit(ds), spec.fit(ds)

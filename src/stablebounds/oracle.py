@@ -6,7 +6,9 @@ that are kept deliberately independent of each other:
 * ``enumerate_lp`` -- full enumeration of {-1,+1}^n, in blocks of 2**16
   rows at every n up to 26;
 * ``collapse_lp``  -- exact binomial weights for functions that factor
-  through the coordinate sum S = sum(Z_i), usable at any n;
+  through the coordinate sum S = sum(Z_i), usable at any n up to
+  ``_COLLAPSE_CAP`` (the arrays over the support of S hold about 46 B per
+  unit of n);
 * ``mc_lp``        -- seeded, scheduling-independent Monte Carlo; a
   ``MomentSpec`` describes only such a run.
 
@@ -14,6 +16,10 @@ that are kept deliberately independent of each other:
 z_i as row i; ``sign_matrix`` is its transpose. The partition verifiers (n <= 20)
 and the chaos hypotheses (n - 1 coordinates, n <= 21) read it in place, and
 the enumeration copies ``sign_matrix(min(n, 16))`` into every block.
+
+``lp_norm`` takes |v| into an optional float64 scratch row and raises it
+there in place (``v **= p``), so a caller that takes many norms of one
+length reuses one row and never has its input written.
 
 Also provides the two reference moment functionals for weighted Rademacher
 sums (Hitczenko) and for the all-ones off-diagonal Rademacher quadratic form
@@ -34,6 +40,7 @@ ENUMERATION_CAP = 26   # 2**26 ~ 6.7e7 evaluations keeps the oracle interactive
 MC_BLOCK = 4096        # replicate block size; fixed so streams never depend on scheduling
 _BLOCK_ARITY = 16      # enumeration blocks of 2**16 rows
 _CACHED_ARITY = 20     # sign matrices up to 20 x 2**20 (~21 MB) are cached; also their cap
+_COLLAPSE_CAP = 1 << 24  # a collapse over n signs peaks near 46 B * n: ~0.8 GB at the cap
 _LOG2 = log(2.0)
 
 
@@ -154,11 +161,17 @@ def _pairwise_sum(parts: list[float]) -> float:
 
 
 def _blocks_lp(blocks: Callable[[], Iterable[np.ndarray]], count: int, p: float) -> float:
-    """(count^-1 * sum v^p)^(1/p) over the non-negative arrays ``blocks()``
-    yields. Where that sum is non-finite, or 0 while max v > 0, a second pass
-    scales each block by its max, so streamed blocks keep bounded memory."""
+    """(count^-1 * sum v^p)^(1/p) over the fresh non-negative float64 arrays
+    ``blocks()`` yields, each raised in place (``v **= p`` takes the path of
+    ``v ** p``, the square at p = 2 included). Where that sum is non-finite, or
+    0 while max v > 0, a second pass scales each block by its max, so streamed
+    blocks keep bounded memory."""
+    def powered_sum(v):
+        v **= p
+        return float(np.sum(v))
+
     with np.errstate(over="ignore"):
-        mean = _pairwise_sum([float(np.sum(v ** p)) for v in blocks()]) / count
+        mean = _pairwise_sum([powered_sum(v) for v in blocks()]) / count
     if not (np.isfinite(mean) and mean > 0):
         with np.errstate(invalid="ignore"):     # 0/0 in all-zero blocks, dropped below
             parts = [(float(v.max()), float(np.sum((v / v.max()) ** p))) for v in blocks()]
@@ -169,9 +182,11 @@ def _blocks_lp(blocks: Callable[[], Iterable[np.ndarray]], count: int, p: float)
     return float(mean ** (1.0 / p))
 
 
-def lp_norm(values: np.ndarray, p: float) -> float:
-    """Range-safe (mean |v|^p)^(1/p) of one array."""
-    return _blocks_lp(lambda: (np.abs(values),), values.size, p)
+def lp_norm(values: np.ndarray, p: float, work: np.ndarray | None = None) -> float:
+    """Range-safe (mean |v|^p)^(1/p) of one array, in float64. ``work``, a
+    float64 array of the shape of ``values``, takes |v| in place of a fresh
+    array; ``values`` itself is never written."""
+    return _blocks_lp(lambda: (np.abs(values, out=work, dtype=np.float64),), values.size, p)
 
 
 def enumerate_lp(f: SignFunction, p: float) -> float:
@@ -189,8 +204,15 @@ def _cached_log_binomial_weights(n: int) -> np.ndarray:
     return w
 
 
+def _check_collapse_n(n: int) -> None:
+    """The cap on n of every array over the support of S, checked before it is built."""
+    if n > _COLLAPSE_CAP:
+        raise ValueError(f"n = {n} exceeds the binomial collapse cap {_COLLAPSE_CAP}")
+
+
 def log_binomial_weights(n: int) -> np.ndarray:
     """log of C(n,k) * 2^-n for k = 0..n, as a read-only array."""
+    _check_collapse_n(n)
     return _cached_log_binomial_weights(n)
 
 
@@ -219,6 +241,7 @@ def collapse_lp(g: Callable[[np.ndarray], np.ndarray], n: int, p: float) -> floa
         raise ValueError(f"n must be >= 1, got {n}")
     if not 1 <= p < np.inf:
         raise ValueError(f"p must be finite and >= 1, got {p}")
+    _check_collapse_n(n)
     return _memo(_collapse_lp, g, n, p)
 
 

@@ -21,22 +21,28 @@ per-term norms against 2*sqrt(p*2^l)*beta, block sums against
 assembled chain against the dyadic sum moment bound. The enumeration is
 coordinate-major: each block sum over all 2^n sign vectors is one contiguous
 row (z_i itself at level 0), and blocks of padding alone are not stored.
-Every term of a block has the same norm, (beta/2)*||sibling sum||_p, since
-|z_i| = 1. Norms whose |v|^p leaves the float range are taken scaled by
-max|v|. A slow generic conditional-expectation path (nested enumeration) is
-kept as an independent cross-check of the verifiers' block sums.
+Block sums are small integers held as int8: level 0 is the cached sign
+matrix, and the levels above are built once per n and shared read-only by
+both verifiers. Each verifier call allocates four float64 work rows of 2^n
+and writes every elementwise step into them, so its memory does not grow
+with the number of terms. Every term of a block has the same norm,
+(beta/2)*||sibling sum||_p, since |z_i| = 1. Norms whose |v|^p leaves the
+float range are taken scaled by max|v|. A slow generic
+conditional-expectation path (nested enumeration) is kept as an independent
+cross-check of the verifiers' block sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import sqrt
 
 import numpy as np
 
 from .bounds import dyadic_sum_moment_bound
 from .chaos import ChaosParams, chaos_collapsed
-from .oracle import SignFunction, lp_norm, sign_matrix
+from .oracle import SignFunction, _sign_columns, lp_norm, sign_matrix
 
 _SQRT2 = sqrt(2.0)
 GENERIC_CAP = 12   # nested enumeration blows up past desk scale
@@ -123,27 +129,36 @@ class TelescopeReport:
         return self.max_deviation <= 1e-12
 
 
-def _enumerated(params: ChaosParams):
+def _enumerated(n: int):
     """The partition tree and per-level block sums over the enumeration: for
     level l an array of shape (blocks, 2**n) whose b-th row sums z_j over
     block b. Only blocks that hold a real index are stored; a block of
     padding alone sums to 0.
 
     The arrays are coordinate-major, so z_i over every sign vector is the
-    contiguous row ``sums[0][i]`` and S = sum_i z_i is ``sums[k][0]`` (exact:
-    every block sum is a small integer). Level 0 is the cached int8 columns
-    of ``sign_matrix(n)``, read in place (scaled by Python floats, so the
-    products are float64); the levels above are float64. Holds the whole of
-    ``sign_matrix(n)``, so n is capped at 20.
+    contiguous row ``sums[0][i]`` and S = sum_i z_i is ``sums[k][0]``. Level 0
+    is the cached int8 columns of ``sign_matrix(n)``, read in place; the levels
+    above are int8 too (|block sum| <= 2**k <= 32), built once per n and
+    shared read-only by both verifiers. Callers scale them by Python floats,
+    so the products are float64. Holds the whole of ``sign_matrix(n)``, so n
+    is capped at 20.
     """
-    tree = build_partition(params.n)
-    sums = [sign_matrix(params.n).T]
-    for _ in range(tree.k):
-        prev = sums[-1]
-        pairs = prev[0::2].astype(np.float64)   # an odd last block has only padding beside it
+    tree = build_partition(n)
+    return tree, [sign_matrix(n).T, *_upper_sums(n)]
+
+
+@lru_cache(maxsize=1)
+def _upper_sums(n: int) -> tuple:
+    """Levels 1..k of the block sums, from the private ``_sign_columns``, so
+    that building them adds no public ``sign_matrix`` call."""
+    levels, prev = [], _sign_columns(n)
+    for _ in range(build_partition(n).k):
+        pairs = prev[0::2].copy()           # an odd last block has only padding beside it
         pairs[:len(prev) // 2] += prev[1::2]
-        sums.append(pairs)
-    return tree, sums
+        pairs.flags.writeable = False       # shared by every caller of this n
+        levels.append(pairs)
+        prev = pairs
+    return tuple(levels)
 
 
 def _sibling_sum(sums, i: int, l: int):
@@ -155,20 +170,25 @@ def _sibling_sum(sums, i: int, l: int):
 def verify_telescoping(params: ChaosParams) -> TelescopeReport:
     """Check the telescoping identity on every sign vector and index."""
     n, M, half_beta = params.n, float(params.M), float(0.5 * params.beta)
-    tree, sums = _enumerated(params)
+    tree, sums = _enumerated(n)
     total = sums[-1][0]
+    half_zi, tmp, g_i, acc = np.empty((4, 1 << n))
     worst = 0.0
     for i in range(n):
         zi = sums[0][i]
-        half_zi = half_beta * zi                  # shared by g_i and every term
-        g_i = M * zi + half_zi * (total - zi)
-        acc = np.zeros(len(zi))
+        np.multiply(half_beta, zi, out=half_zi)   # shared by g_i and every term
+        np.multiply(M, zi, out=tmp)
+        np.subtract(total, zi, out=g_i)
+        g_i *= half_zi
+        g_i += tmp                                # g_i = M*z_i + half_zi*(S - z_i)
+        g_i -= tmp                                # g_i - M*z_i, rounded as checked
+        acc.fill(0.0)
         for l in range(tree.k):
             sib = _sibling_sum(sums, i, l)
             if sib is not None:                   # a padding sibling adds 0
-                acc += half_zi * sib
-        dev = float(np.max(np.abs(acc - (g_i - M * zi))))
-        worst = max(worst, dev)
+                acc += np.multiply(half_zi, sib, out=tmp)
+        acc -= g_i
+        worst = max(worst, float(np.max(np.abs(acc, out=acc))))
     return TelescopeReport(n=n, max_deviation=worst)
 
 
@@ -209,10 +229,9 @@ def verify_level_bounds(params: ChaosParams, p: float) -> LevelBoundsReport:
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
     n = params.n
-    tree, sums = _enumerated(params)
-    # float64: at n = 1 this is the int8 row, which an int M or p overflows
-    total = np.asarray(sums[-1][0], dtype=np.float64)
+    tree, sums = _enumerated(n)
     beta, half_beta = params.beta, float(0.5 * params.beta)
+    level_values, half_sib, block_values, work = np.empty((4, 1 << n))
 
     term_slacks = []
     block_slacks = []
@@ -222,7 +241,7 @@ def verify_level_bounds(params: ChaosParams, p: float) -> LevelBoundsReport:
         term_bound = 2.0 * sqrt(p * (1 << l)) * beta
         block_bound = 6.0 * _SQRT2 * p * (1 << l) * beta
         level_bound = 6.0 * _SQRT2 * p * tree.n_padded * beta
-        level_values = np.zeros(len(total))
+        level_values.fill(0.0)
         for block in tree.blocks(l):
             real = range(block.start, min(block.stop, n))
             sib = _sibling_sum(sums, block.start, l)
@@ -233,18 +252,20 @@ def verify_level_bounds(params: ChaosParams, p: float) -> LevelBoundsReport:
                 continue
             # term_i = z_i * (beta/2) * sib and |z_i| = 1, so every term of
             # the block has the norm of (beta/2) * sib
-            half_sib = half_beta * sib
-            term_slacks.extend([term_bound - lp_norm(half_sib, p)] * len(real))
-            block_values = np.zeros(len(total))
+            np.multiply(half_beta, sib, out=half_sib)
+            term_slacks.extend([term_bound - lp_norm(half_sib, p, work)] * len(real))
+            block_values.fill(0.0)
             for i in real:
-                block_values += sums[0][i] * half_sib
-            block_slacks.append(block_bound - lp_norm(block_values, p))
+                block_values += np.multiply(sums[0][i], half_sib, out=work)
+            block_slacks.append(block_bound - lp_norm(block_values, p, work))
             level_values += block_values
-        level_norms.append(lp_norm(level_values, p))
+        level_norms.append(lp_norm(level_values, p, work))
         level_slacks.append(level_bound - level_norms[-1])
 
-    sum_norm = lp_norm(chaos_collapsed(params)(total), p)
-    chain_value = params.M * lp_norm(total, p) + float(np.sum(level_norms))
+    total = level_values                  # float64: an int M or p overflows the
+    total[:] = sums[-1][0]                # int8 top block sum
+    sum_norm = lp_norm(chaos_collapsed(params)(total), p, work)
+    chain_value = params.M * lp_norm(total, p, work) + float(np.sum(level_norms))
     chain_bound = (4.0 * params.M * sqrt(p * n)
                    + 6.0 * _SQRT2 * p * tree.n_padded * beta * tree.k)
     final = dyadic_sum_moment_bound(p, n, beta, params.M).value

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stablebounds import cli
+from stablebounds import cli, oracle
 from stablebounds.bounds import dyadic_sum_moment_bound, second_moment_bound
 from stablebounds.chaos import (ChaosParams, _collapsed, chaos_g, chaos_lp,
                                 chaos_sum_function, lower_ratio,
@@ -339,6 +339,12 @@ class TestPaleyZygmund:
 
 
 class TestValidation:
+    def test_tail_probability_is_capped_in_n(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_COLLAPSE_CAP", 64)
+        with pytest.raises(ValueError, match="collapse cap"):
+            tail_probability(ChaosParams(65, 1.0, 1.0), 1.0)
+        assert tail_probability(ChaosParams(64, 1.0, 1.0), 0.0) == 1.0
+
     def test_rejects_negative_parameters(self):
         with pytest.raises(ValueError, match="M"):
             ChaosParams(4, -1.0, 1.0)

@@ -204,6 +204,22 @@ class TestExitCodes:
         assert err == f"error: {type(exc).__name__}: {exc}\n"
         assert not (tmp_path / "c.csv").exists()
 
+    @pytest.mark.parametrize("module,cap,args", [
+        ("oracle", "_COLLAPSE_CAP", ["chaos", "--M", "1", "--beta", "1", "--p", "2"]),
+        ("lab", "_MAX_N", ["learn", "--learner", "constant", "--delta", "0.1",
+                           "--reps", "1000", "--seed", "1"]),
+    ])
+    def test_memory_caps_are_error_exit(self, tmp_path, capsys, monkeypatch, module, cap, args):
+        # the caps sit far above any n run here, so lower them instead of
+        # allocating the large case
+        monkeypatch.setattr(f"stablebounds.{module}.{cap}", 64)
+        out = tmp_path / "c.csv"
+        assert run_main(args + ["--n", "65", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: n = 65 exceeds") and "Traceback" not in err
+        assert not out.exists()
+        assert run_main(args + ["--n", "64", "--out", out]) == 0
+
     @pytest.mark.parametrize("scale", ["1e300", "1e-300"])
     def test_paley_zygmund_rhs_at_extreme_norms(self, tmp_path, scale):
         # the squared norms overflow (1e300) or underflow (1e-300); their ratio does not
@@ -245,6 +261,20 @@ class TestDeterminism:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run_main(args + ["--out", a, "--threads", "1"])
         run_main(args + ["--out", b, "--threads", "4"])
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_partition_thread_independent(self, tmp_path):
+        # every pool thread reads the block sums cached for one n at a time;
+        # a short switch interval interleaves the threads between n = 6 and 9
+        args = ["partition", "--n", "6,9", "--M", "0,1", "--beta", "1", "--p", "2,8"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_main(args + ["--out", a, "--threads", "1"]) == 0
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            assert run_main(args + ["--out", b, "--threads", "3"]) == 0
+        finally:
+            sys.setswitchinterval(interval)
         assert a.read_bytes() == b.read_bytes()
 
     def test_env_threads_fallback(self, tmp_path, monkeypatch):

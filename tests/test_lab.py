@@ -280,6 +280,31 @@ class TestEstimateGamma:
             with pytest.raises(ValueError, match="n must be >= 1"):
                 estimate_gamma(clipped_mean_learner(), BERN, n=n, mode=mode)
 
+    @pytest.mark.parametrize("learner", ["clipped_mean", "memorizer"])
+    def test_sampled_without_array_form_equals_array_form(self, learner):
+        spec, dist = SHIPPED[learner](), PAIR if learner == "memorizer" else BERN
+        with_array = estimate_gamma(spec, dist, n=64, trials=300, seed=1, mode="sampled")
+        assert estimate_gamma(reference_of(spec), dist, n=64, trials=300, seed=1,
+                              mode="sampled") == with_array
+
+    def test_sampled_without_array_form_refits_once_per_trial(self):
+        # one fit and at most one refit per trial, not all n * K refits
+        calls = []
+        spec = clipped_mean_learner()
+
+        def fit(ds):
+            calls.append("fit")
+            return spec.fit(ds)
+
+        def replace_one(ds, h, i, e):
+            calls.append("refit")
+            return spec.replace_one(ds, h, i, e)
+
+        counted = dataclasses.replace(spec, fit=fit, replace_one=replace_one,
+                                      batch_losses=None)
+        estimate_gamma(counted, BERN, n=64, trials=300, seed=1, mode="sampled")
+        assert calls.count("fit") == 300 and calls.count("refit") <= 300
+
     def test_sampled_memory_is_bounded(self):
         # datasets are drawn block by block; all 1250 at once would hold
         # 1250 x 8192 indices (80 MB). Few long datasets rather than many
@@ -342,6 +367,22 @@ class TestQuantiles:
         for r in range(500):
             labels = [e.y for e in BERN.sample(rng, 16)]
             assert gaps[r] == pytest.approx(clipped_gap_oracle(labels), abs=1e-12)
+
+
+class TestSampleSizeCap:
+    """Sample sizes above ``lab._MAX_N`` are refused before any dataset is drawn."""
+
+    def test_every_drawing_path_is_capped(self, monkeypatch):
+        monkeypatch.setattr("stablebounds.lab._MAX_N", 64)
+        spec = clipped_mean_learner()
+        for run in (lambda: check_deterministic(spec, BERN, n=65),
+                    lambda: collect_gaps(spec, BERN, n=65, reps=10, seed=1),
+                    lambda: sandwich_sweep(spec, BERN, n=65, reps=10, seed=1),
+                    lambda: correlation_check(spec, BERN, n=65, reps=1000, seed=1),
+                    lambda: estimate_gamma(spec, BERN, n=65, trials=10, mode="sampled")):
+            with pytest.raises(ValueError, match="sample size cap"):
+                run()
+        assert collect_gaps(spec, BERN, n=64, reps=10, seed=1).shape == (10,)
 
 
 class TestDeterminismGuard:

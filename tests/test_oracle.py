@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
+from stablebounds import oracle
 from stablebounds.oracle import (MomentSpec, SignFunction, _collapse_lp,
                                  _mc_values, _sign_columns, collapse_lp,
                                  constant_function, coordinate_function,
@@ -220,6 +221,61 @@ class TestCollapseMemo:
             hash(g)
         assert collapse_lp(g, 100, 2) == pytest.approx(20.0, rel=1e-12)
         assert collapse_lp(g, 100, 2) == _collapse_lp.__wrapped__(g, 100, 2)
+
+
+class TestLpNormScratch:
+    """``lp_norm(v, p, work)`` takes |v| into ``work`` and raises it there in
+    place: every float equals the call without scratch, and ``v`` is never
+    written."""
+
+    @pytest.mark.parametrize("p", [2.0, 3.5, 8.0])
+    def test_bit_equal_and_input_unchanged(self, p):
+        v = np.random.default_rng(3).normal(size=4099) * 7.0
+        kept = v.copy()
+        work = np.full_like(v, np.nan)
+        assert lp_norm(v, p, work) == lp_norm(v, p)
+        assert np.array_equal(v, kept)
+
+    @pytest.mark.parametrize("p", [2, 3.5, 8.0, 1024])
+    def test_int8_input_is_taken_in_float64(self, p):
+        # an int8 power overflows at an int p >= 128; in float64 |v|^1024
+        # leaves the float range and takes the scaled pass
+        v = _sign_columns(12)[5] * np.int8(3) - _sign_columns(12)[2]     # values 2 and 4
+        kept = v.copy()
+        expected = lp_norm(v.astype(np.float64), p)
+        assert lp_norm(v, p) == expected
+        assert lp_norm(v, p, np.empty(v.shape)) == expected
+        assert np.array_equal(v, kept)
+
+    @pytest.mark.parametrize("scale", [1e10, 1e-10])
+    def test_range_safe_fallback(self, scale):
+        # |v|^1000 overflows (1e10) or underflows (1e-10): the second pass
+        # takes |v| afresh, so the scratch of the first does not leak into it
+        v = scale * (1.0 + np.random.default_rng(5).random(257))
+        kept = v.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = lp_norm(v, 1000, np.empty_like(v))
+        assert value == lp_norm(v, 1000)
+        assert np.array_equal(v, kept)
+        top = v.max()
+        assert value == pytest.approx(top * np.mean((v / top) ** 1000) ** 1e-3, rel=1e-12)
+
+
+class TestCollapseCap:
+    """Every array over the support of S is capped in n before it is built."""
+
+    def test_cap_is_checked_before_any_array(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_COLLAPSE_CAP", 64)
+
+        def g(s):
+            raise AssertionError("g evaluated past the cap")
+
+        with pytest.raises(ValueError, match="collapse cap"):
+            collapse_lp(g, 65, 2)
+        with pytest.raises(ValueError, match="collapse cap"):
+            log_binomial_weights(65)
+        assert collapse_lp(lambda s: s, 64, 2) == pytest.approx(8.0, rel=1e-12)
 
 
 class TestLogBinomialWeights:

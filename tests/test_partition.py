@@ -3,6 +3,7 @@ conditional-expectation path against the verifiers' block sums, and the
 per-layer moment bounds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from hypothesis import strategies as st
 
 from stablebounds.chaos import ChaosParams, chaos_g, chaos_lp
 from stablebounds.oracle import sign_matrix
+from stablebounds import partition
 from stablebounds.partition import (PartitionTree, _enumerated, _sibling_sum,
-                                    block_of, build_partition,
+                                    _upper_sums, block_of, build_partition,
                                     telescope_term_generic,
                                     verify_level_bounds, verify_telescoping)
 
@@ -96,7 +98,7 @@ class TestGenericConditionalPath:
         # the term is (beta/2) * z_i * (sum over the sibling block), read from
         # the rows the verifiers use; the terms and M*z_i rebuild g_i
         params = ChaosParams(n, M, beta)
-        tree, sums = _enumerated(params)
+        tree, sums = _enumerated(n)
         r %= 1 << n                              # a row of sign_matrix(n)
         z = sign_matrix(n)[r]
         for i in range(n):
@@ -215,6 +217,61 @@ class TestVerifyLevelBounds:
             verify_level_bounds(ChaosParams(21, 1.0, 1.0), 2.0)
 
 
+def warm_traced_peak(run) -> int:
+    """Peak traced bytes of ``run()`` once an untraced call has filled every cache."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSharedBlockSums:
+    """Levels 1..k of the block sums are int8, built once per n and read by
+    both verifiers; each call writes only into a few float64 rows of its own."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 17])
+    def test_levels_are_read_only_int8_equal_to_float64_rebuild(self, n):
+        tree, sums = _enumerated(n)
+        assert len(sums) == tree.k + 1
+        assert np.shares_memory(sums[0], sign_matrix(n))
+        prev = sign_matrix(n).T.astype(np.float64)
+        for level in sums[1:]:
+            rebuilt = prev[0::2].copy()
+            rebuilt[:len(prev) // 2] += prev[1::2]
+            assert level.dtype == np.int8 and not level.flags.writeable
+            assert np.array_equal(level, rebuilt)
+            prev = rebuilt
+
+    def test_second_call_returns_the_cached_arrays(self):
+        first = _enumerated(9)[1]
+        second = _enumerated(9)[1]
+        assert all(a is b for a, b in zip(first[1:], second[1:]))
+
+    def test_one_public_sign_matrix_call_per_verifier_call(self, monkeypatch):
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return sign_matrix(n)
+
+        monkeypatch.setattr(partition, "sign_matrix", counted)
+        _upper_sums.cache_clear()                 # a cache miss adds no call
+        verify_telescoping(ChaosParams(10, 1.0, 0.5))
+        verify_level_bounds(ChaosParams(10, 1.0, 0.5), 4.0)
+        assert calls == [10, 10]
+
+    @pytest.mark.parametrize("n", [14, 16])
+    def test_warm_call_holds_at_most_eight_rows(self, n):
+        # float64 levels rebuilt per call, plus a fresh row per elementwise
+        # step, would take 20-26 rows of 2^n, growing with n
+        params, rows = ChaosParams(n, 1.0, 0.3), 8 * 8 << n
+        assert warm_traced_peak(lambda: verify_telescoping(params)) <= rows
+        assert warm_traced_peak(lambda: verify_level_bounds(params, 8.0)) <= rows
+
+
 class TestTermNormClosedForm:
     """Dual route across modules: each telescoping term is (beta/2) * z_i *
     (sum over a sibling block of size 2^l), so its enumerated L_p norm must
@@ -225,7 +282,7 @@ class TestTermNormClosedForm:
     def test_enumerated_term_norm_matches_collapse(self, n, p):
         from stablebounds.oracle import SignFunction, collapse_lp, enumerate_lp, lp_norm
         beta = 1.3
-        tree, sums = _enumerated(ChaosParams(n, 0.7, beta))
+        tree, sums = _enumerated(n)
         i = 0   # sibling block for index 0 at level l is [2^l, 2^(l+1)), block 1
         for l in range(tree.k):
             d = 1 << l
