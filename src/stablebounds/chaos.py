@@ -28,8 +28,8 @@ from numbers import Integral
 
 import numpy as np
 
-from .oracle import (SignFunction, _check_collapse_n, _memo, collapse_lp,
-                     log_binomial_weights, sign_matrix)
+from .oracle import (SignFunction, _check_collapse_n, _memo, _support, collapse_lp,
+                     sign_matrix)
 
 
 @dataclass(frozen=True)
@@ -115,13 +115,25 @@ def chaos_sum_function(params: ChaosParams) -> SignFunction:
 
 def chaos_collapsed(params: ChaosParams):
     """sum_i g_i as a function of S alone, for the binomial collapse. Equal
-    params give the same function, so ``collapse_lp`` memoizes across callers."""
+    params give the same function, so ``collapse_lp`` memoizes across callers.
+
+    The function takes S in float64 and returns M*S + (beta/2)*(S*S - n); its
+    optional ``out`` and ``scratch`` arrays of the shape of S take the two
+    products, so a caller with two free rows evaluates it without temporaries.
+    """
     return _memo(_collapsed, params.n, params.M, params.beta)
 
 
 @lru_cache(maxsize=256)
 def _collapsed(n, M, beta):
-    return lambda s: M * s + 0.5 * beta * (s * s - n)
+    def chaos_sum(s, out=None, scratch=None):
+        total = np.multiply(M, s, out=out, dtype=np.float64)
+        square = np.multiply(s, s, out=scratch, dtype=np.float64)
+        square -= n
+        square *= 0.5 * beta
+        total += square
+        return total
+    return chaos_sum
 
 
 def chaos_lp(params: ChaosParams, p: float) -> float:
@@ -197,12 +209,9 @@ def tail_probability(params: ChaosParams, t: float) -> float:
     cap)."""
     if t < 0:
         raise ValueError(f"threshold must be >= 0, got {t}")
-    n = params.n
-    _check_collapse_n(n)
-    s = 2.0 * np.arange(n + 1) - n
-    vals = np.abs(np.asarray(chaos_collapsed(params)(s), dtype=np.float64))
-    w = np.exp(log_binomial_weights(n))
-    return float(w[vals >= t].sum() / w.sum())
+    _check_collapse_n(params.n)
+    support = _support(chaos_collapsed(params), params.n)   # shared with chaos_lp
+    return float(support.weights[support.vals >= t].sum() / support.total)
 
 
 def paley_zygmund_certificate(params: ChaosParams, p: float) -> TailCertificate:

@@ -7,10 +7,23 @@ that are kept deliberately independent of each other:
   rows at every n up to 26;
 * ``collapse_lp``  -- exact binomial weights for functions that factor
   through the coordinate sum S = sum(Z_i), usable at any n up to
-  ``_COLLAPSE_CAP`` (the arrays over the support of S hold about 46 B per
+  ``_COLLAPSE_CAP`` (the arrays over the support of S hold about 41 B per
   unit of n);
 * ``mc_lp``        -- seeded, scheduling-independent Monte Carlo; a
   ``MomentSpec`` describes only such a run.
+
+Every check sweeps the moment order p, and what does not depend on p is
+built once per function, in one-entry caches below the public calls (each
+call still makes its public ``sign_matrix`` call):
+
+* the collapse keeps one support record, keyed by (g, n): |g| and log|g| over
+  the support of S and the binomial weights and their logs, four float64
+  arrays of n + 1, so each p takes one multiply-add, a sort and a reduction.
+  ``chaos.tail_probability`` reads |g| and the weights from the same record,
+  and a record of a new g at the same n takes over the weights;
+* the enumeration keeps the |f| blocks of the last hashable function of
+  arity n <= 20 (2**n floats, 8 MB at n = 20), read-only; each p raises a
+  copy. Above n = 20 the blocks are streamed, as they were.
 
 {-1,+1}^n is cached once per n <= 20 as a read-only int8 array (n, 2**n),
 z_i as row i; ``sign_matrix`` is its transpose. The partition verifiers (n <= 20)
@@ -40,7 +53,7 @@ ENUMERATION_CAP = 26   # 2**26 ~ 6.7e7 evaluations keeps the oracle interactive
 MC_BLOCK = 4096        # replicate block size; fixed so streams never depend on scheduling
 _BLOCK_ARITY = 16      # enumeration blocks of 2**16 rows
 _CACHED_ARITY = 20     # sign matrices up to 20 x 2**20 (~21 MB) are cached; also their cap
-_COLLAPSE_CAP = 1 << 24  # a collapse over n signs peaks near 46 B * n: ~0.8 GB at the cap
+_COLLAPSE_CAP = 1 << 24  # a collapse over n signs peaks near 41 B * n: ~0.7 GB at the cap
 _LOG2 = log(2.0)
 
 
@@ -134,14 +147,39 @@ def _abs_eval(f: SignFunction, rows: np.ndarray) -> np.ndarray:
     return np.abs(np.asarray(f.eval(rows), dtype=np.float64))
 
 
-def _abs_blocks(f: SignFunction):
+_last_abs = None    # (f, its |f| blocks) of the last function enumerated up to _CACHED_ARITY
+
+
+def _abs_blocks(f: SignFunction, writable: bool = False):
     """|f| over {-1,+1}^n in lexicographic blocks of 2**min(n, 16) rows: low
-    coordinates from ``sign_matrix``, high ones the bits of the block number."""
+    coordinates from ``sign_matrix``, high ones the bits of the block number.
+
+    Up to ``_CACHED_ARITY`` the blocks of the last function enumerated are
+    kept read-only in a one-entry cache keyed by ``f`` (2**n floats, 8 MB at
+    n = 20), so the orders p of one f evaluate it once; ``writable`` yields
+    copies. Above that, and for an unhashable f, the blocks are evaluated
+    afresh. Every call takes ``sign_matrix`` once, hit or miss."""
+    global _last_abs
     n = f.arity
     if n > ENUMERATION_CAP:
         raise ValueError(f"arity {n} exceeds enumeration cap {ENUMERATION_CAP}")
-    low = min(n, _BLOCK_ARITY)
-    low_rows = sign_matrix(low)
+    low_rows = sign_matrix(min(n, _BLOCK_ARITY))
+    if n > _CACHED_ARITY or not _hashable(f):
+        return _evaluated_blocks(f, low_rows)
+    last = _last_abs
+    if last is not None and last[0] == f:
+        blocks = last[1]
+    else:
+        last = _last_abs = None         # freed before the next is built
+        blocks = tuple(_evaluated_blocks(f, low_rows))
+        for v in blocks:
+            v.flags.writeable = False
+        _last_abs = (f, blocks)
+    return (v.copy() for v in blocks) if writable else iter(blocks)
+
+
+def _evaluated_blocks(f: SignFunction, low_rows: np.ndarray):
+    n, low = f.arity, low_rows.shape[1]
     for b in range(1 << (n - low)):
         rows = np.empty((1 << low, n), dtype=np.int8)
         rows[:, :low] = low_rows
@@ -193,15 +231,7 @@ def enumerate_lp(f: SignFunction, p: float) -> float:
     """Exact, range-safe (2^-n * sum_z |f(z)|^p)^(1/p) over the full hypercube."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    return _blocks_lp(lambda: _abs_blocks(f), 1 << f.arity, p)
-
-
-@lru_cache(maxsize=8)
-def _cached_log_binomial_weights(n: int) -> np.ndarray:
-    k = np.arange(n + 1, dtype=np.float64)
-    w = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1) - n * _LOG2
-    w.flags.writeable = False           # shared by every caller of this n
-    return w
+    return _blocks_lp(lambda: _abs_blocks(f, writable=True), 1 << f.arity, p)
 
 
 def _check_collapse_n(n: int) -> None:
@@ -213,17 +243,24 @@ def _check_collapse_n(n: int) -> None:
 def log_binomial_weights(n: int) -> np.ndarray:
     """log of C(n,k) * 2^-n for k = 0..n, as a read-only array."""
     _check_collapse_n(n)
-    return _cached_log_binomial_weights(n)
+    k = np.arange(n + 1, dtype=np.float64)
+    w = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1) - n * _LOG2
+    w.flags.writeable = False           # shared by the support records of this n
+    return w
+
+
+def _hashable(key) -> bool:
+    try:
+        hash(key)
+    except TypeError:
+        return False
+    return True
 
 
 def _memo(cached, *key):
     """``cached(*key)``, or its uncached ``__wrapped__`` where the key is not
     hashable, so every argument the uncached function accepts stays accepted."""
-    try:
-        hash(key)
-    except TypeError:
-        return cached.__wrapped__(*key)
-    return cached(*key)
+    return cached(*key) if _hashable(key) else cached.__wrapped__(*key)
 
 
 def collapse_lp(g: Callable[[np.ndarray], np.ndarray], n: int, p: float) -> float:
@@ -233,9 +270,10 @@ def collapse_lp(g: Callable[[np.ndarray], np.ndarray], n: int, p: float) -> floa
     ..., n}, the contract ``SignFunction.eval`` has. Results are memoized per
     (g, n, p) in a bounded cache, so a repeated call returns the float of the
     first; an unhashable ``g`` is computed without it, and errors are not
-    cached. Terms are evaluated in log space and accumulated in decreasing
-    magnitude order, so results are bitwise stable and immune to overflow of
-    |g|^p.
+    cached. What does not depend on p (|g|, its log, the binomial weights) is
+    built once per (g, n), in a one-entry support record. Terms are evaluated
+    in log space and accumulated in decreasing magnitude order, so results
+    are bitwise stable and immune to overflow of |g|^p.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -245,23 +283,77 @@ def collapse_lp(g: Callable[[np.ndarray], np.ndarray], n: int, p: float) -> floa
     return _memo(_collapse_lp, g, n, p)
 
 
+class _Support:
+    """What every order p of one collapse reads, built once per (g, n), read-only.
+
+    ``vals`` is |g| over the support {-n, -n+2, ..., n} of S and ``logv`` its
+    log (-inf where g = 0); ``logw``, ``weights`` and ``total`` are log P(S =
+    s), P(S = s) and the sum of the latter. They depend on n alone, so a
+    record of the same n passes them on (``law``). Four float64 arrays of
+    n + 1 in all.
+    """
+
+    def __init__(self, g, n, law=None):
+        self.g, self.n = g, n
+        if law is None:
+            logw = log_binomial_weights(n)
+            weights = np.exp(logw)
+            weights.flags.writeable = False
+            law = logw, weights, weights.sum()
+        self.logw, self.weights, self.total = law
+        self.vals = np.abs(np.asarray(g(2.0 * np.arange(n + 1) - n), dtype=np.float64))
+        self.vals.flags.writeable = False
+        self.finite = bool(np.all(np.isfinite(self.vals)))
+        if self.finite:
+            with np.errstate(divide="ignore"):
+                self.logv = np.log(self.vals)
+            self.logv.flags.writeable = False
+
+    @property
+    def law(self) -> tuple:
+        return self.logw, self.weights, self.total
+
+
+_last_support = None    # the _Support of the last hashable g collapsed
+
+
+def _support(g, n) -> _Support:
+    """The support record of (g, n) from a one-entry cache, so one record of
+    O(n) is held; an unhashable g gets a record of its own. Records are never
+    written once built, so pool threads need no lock: a race between two of
+    them costs a rebuild, not a wrong record."""
+    global _last_support
+    if not _hashable(g):
+        return _Support(g, n)
+    last = _last_support
+    if last is not None and last.n == n and last.g == g:
+        return last
+    law = last.law if last is not None and last.n == n else None
+    last = _last_support = None         # |g| of the last is freed before the next is built
+    sup = _last_support = _Support(g, n, law)
+    return sup
+
+
 @lru_cache(maxsize=256)
 def _collapse_lp(g, n, p) -> float:
-    s = 2.0 * np.arange(n + 1) - n
-    vals = np.abs(np.asarray(g(s), dtype=np.float64))
-    if not np.all(np.isfinite(vals)):
+    return _support_lp(_support(g, n), p)
+
+
+def _support_lp(sup: _Support, p) -> float:
+    if not sup.finite:
         raise ValueError("g produced non-finite values on the support of S")
-    logw = log_binomial_weights(n)
-    with np.errstate(divide="ignore", over="ignore"):
-        terms = logw + p * np.log(vals)
-    top = vals.max() if p > 1e305 else 0.0      # p * log|g| is in range below (|log v| < 745)
-    if top > 0 and not np.isfinite(terms[np.argmax(vals)]):    # max|g| * ||g / max|g|||,
-        return float(top * _collapse_lp.__wrapped__(lambda s: g(s) / top, n, p))  # uncached
-    terms = terms[np.isfinite(terms)]       # zero outcomes contribute nothing
-    if terms.size == 0:
-        return 0.0
-    terms = np.sort(terms)[::-1]
-    return float(np.exp(np.logaddexp.reduce(terms) / p))
+    with np.errstate(over="ignore"):
+        terms = p * sup.logv
+        terms += sup.logw
+    top = sup.vals.max() if p > 1e305 else 0.0     # p * log|g| is in range below (|log v| < 745)
+    if top > 0 and not np.isfinite(terms[np.argmax(sup.vals)]):    # max|g| * ||g / max|g|||,
+        scaled = _Support(lambda s: sup.g(s) / top, sup.n, sup.law)  # a record of its own
+        return float(top * _support_lp(scaled, p))
+    # a zero outcome (log 0) or an underflowed term is -inf, and
+    # logaddexp(a, -inf) = a exactly, so such terms change no bit of the sum
+    terms.sort()
+    with np.errstate(over="ignore"):        # so does a finite gap past the float range
+        return float(np.exp(np.logaddexp.reduce(terms[::-1]) / p))
 
 
 def _mc_values(f: SignFunction, reps: int, seed: int) -> np.ndarray:

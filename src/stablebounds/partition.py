@@ -24,8 +24,11 @@ row (z_i itself at level 0), and blocks of padding alone are not stored.
 Block sums are small integers held as int8: level 0 is the cached sign
 matrix, and the levels above are built once per n and shared read-only by
 both verifiers. Each verifier call allocates four float64 work rows of 2^n
-and writes every elementwise step into them, so its memory does not grow
-with the number of terms. Every term of a block has the same norm,
+and writes every elementwise step into them, the closed form of sum_i g_i
+included, so its memory does not grow with the number of terms. The
+telescoping check takes no p: its worst deviation is memoized per
+(n, M, beta/2), a float per key, and the rows of a grid over p compute it
+once. Every term of a block has the same norm,
 (beta/2)*||sibling sum||_p, since |z_i| = 1. Norms whose |v|^p leaves the
 float range are taken scaled by max|v|. A slow generic
 conditional-expectation path (nested enumeration) is kept as an independent
@@ -168,9 +171,22 @@ def _sibling_sum(sums, i: int, l: int):
 
 
 def verify_telescoping(params: ChaosParams) -> TelescopeReport:
-    """Check the telescoping identity on every sign vector and index."""
-    n, M, half_beta = params.n, float(params.M), float(0.5 * params.beta)
-    tree, sums = _enumerated(n)
+    """Check the telescoping identity on every sign vector and index.
+
+    The deviation depends on (n, M, beta/2) alone and takes no p, so it is
+    memoized per that key; every call still reads ``_enumerated(n)``, which
+    checks n and makes the one ``sign_matrix(n)`` call of a verifier call."""
+    n = params.n
+    _enumerated(n)
+    worst = _telescoping_deviation(n, float(params.M), float(0.5 * params.beta))
+    return TelescopeReport(n=n, max_deviation=worst)
+
+
+@lru_cache(maxsize=64)
+def _telescoping_deviation(n: int, M: float, half_beta: float) -> float:
+    """Worst |sum_l (g_i^l - g_i^{l+1}) - (g_i - M*z_i)|, from the private
+    ``_sign_columns`` and ``_upper_sums``, as ``_upper_sums`` itself is built."""
+    sums = [_sign_columns(n), *_upper_sums(n)]
     total = sums[-1][0]
     half_zi, tmp, g_i, acc = np.empty((4, 1 << n))
     worst = 0.0
@@ -183,13 +199,13 @@ def verify_telescoping(params: ChaosParams) -> TelescopeReport:
         g_i += tmp                                # g_i = M*z_i + half_zi*(S - z_i)
         g_i -= tmp                                # g_i - M*z_i, rounded as checked
         acc.fill(0.0)
-        for l in range(tree.k):
+        for l in range(len(sums) - 1):
             sib = _sibling_sum(sums, i, l)
             if sib is not None:                   # a padding sibling adds 0
                 acc += np.multiply(half_zi, sib, out=tmp)
         acc -= g_i
         worst = max(worst, float(np.max(np.abs(acc, out=acc))))
-    return TelescopeReport(n=n, max_deviation=worst)
+    return worst
 
 
 @dataclass(frozen=True)
@@ -264,7 +280,7 @@ def verify_level_bounds(params: ChaosParams, p: float) -> LevelBoundsReport:
 
     total = level_values                  # float64: an int M or p overflows the
     total[:] = sums[-1][0]                # int8 top block sum
-    sum_norm = lp_norm(chaos_collapsed(params)(total), p, work)
+    sum_norm = lp_norm(chaos_collapsed(params)(total, half_sib, block_values), p, work)
     chain_value = params.M * lp_norm(total, p, work) + float(np.sum(level_norms))
     chain_bound = (4.0 * params.M * sqrt(p * n)
                    + 6.0 * _SQRT2 * p * tree.n_padded * beta * tree.k)

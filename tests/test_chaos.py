@@ -7,12 +7,13 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from stablebounds import cli, oracle
 from stablebounds.bounds import dyadic_sum_moment_bound, second_moment_bound
-from stablebounds.chaos import (ChaosParams, _collapsed, chaos_g, chaos_lp,
+from stablebounds.chaos import (ChaosParams, _collapsed, chaos_collapsed, chaos_g, chaos_lp,
                                 chaos_sum_function, lower_ratio,
                                 paley_zygmund_certificate, second_moment_exact,
                                 tail_probability, verify_chaos_conditions)
@@ -254,6 +255,112 @@ class TestChaosMemo:
                               "grid": {"n": [12, 40], "M": [0, 1], "beta": [1], "p": [2, 8]}})
         assert (len(rows), code) == (8, 0)
         assert _collapse_lp.cache_info().misses == 16
+
+
+def per_call_collapse_lp(g, n, p):
+    """The collapse as one call computes it from nothing: no support record,
+    no memo, the weights rebuilt from gammaln."""
+    s = 2.0 * np.arange(n + 1) - n
+    vals = np.abs(np.asarray(g(s), dtype=np.float64))
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("non-finite")
+    k = np.arange(n + 1, dtype=np.float64)
+    logw = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1) - n * math.log(2.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        terms = logw + p * np.log(vals)
+    top = vals.max() if p > 1e305 else 0.0
+    if top > 0 and not np.isfinite(terms[np.argmax(vals)]):
+        return float(top * per_call_collapse_lp(lambda s: g(s) / top, n, p))
+    terms = terms[np.isfinite(terms)]
+    if terms.size == 0:
+        return 0.0
+    terms = np.sort(terms)[::-1]
+    with np.errstate(over="ignore"):
+        return float(np.exp(np.logaddexp.reduce(terms) / p))
+
+
+def per_call_tail(g, n, t):
+    s = 2.0 * np.arange(n + 1) - n
+    vals = np.abs(np.asarray(g(s), dtype=np.float64))
+    k = np.arange(n + 1, dtype=np.float64)
+    w = np.exp(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1) - n * math.log(2.0))
+    return float(w[vals >= t].sum() / w.sum())
+
+
+class Unhashable:
+    """A pure callable that cannot be a cache key."""
+
+    __hash__ = None
+
+    def __init__(self, g):
+        self.g = g
+
+    def __call__(self, s):
+        return self.g(s)
+
+
+_MAGNITUDES = st.one_of(st.just(0.0), st.integers(0, 80).map(lambda k: k / 4),
+                        st.floats(1e-200, 1e200))
+
+
+class TestSupportRecord:
+    """The collapse and the tail read |g| and the binomial weights from one
+    record per (g, n); every float must equal the per-call formula, bit for
+    bit, however the calls interleave."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(points=st.lists(st.tuples(
+               st.one_of(st.integers(1, 200), st.integers(1, 14).map(lambda k: k * k)),
+               _MAGNITUDES, _MAGNITUDES, st.booleans()), min_size=1, max_size=4),
+           orders=st.lists(st.one_of(st.sampled_from([1, 2, 3.5, 8, 64, 1e306]),
+                                     st.floats(1.0, 1e306)), min_size=1, max_size=4),
+           share=st.floats(0.0, 1.0))
+    @example(points=[(16, 0.0, 1.0, False), (16, 1.0, 1.0, False)], orders=[2, 8], share=0.5)
+    @example(points=[(9, 0.0, 2.0, True), (9, 0.0, 2.0, False)], orders=[1e306], share=0.0)
+    @example(points=[(5, 1e150, 0.0, False), (7, 1e-150, 1e-150, False)],
+             orders=[1e306, 2], share=1.0)
+    def test_equals_per_call_formula(self, points, orders, share):
+        # zero outcomes: M = 0 and n = k^2 put g = 0 at S = +-k; p near 1e306
+        # takes the rescaled pass at large or tiny max|g|
+        for p in orders:
+            for n, M, beta, unhashable in points:
+                assume((M, beta) != (0.0, 0.0))
+                plain = lambda s, n=n, M=M, beta=beta: M * s + 0.5 * beta * (s * s - n)
+                params = ChaosParams(n, M, beta)
+                expected = per_call_collapse_lp(plain, n, p)
+                g = Unhashable(plain) if unhashable else chaos_collapsed(params)
+                assert oracle.collapse_lp(g, n, p) == expected
+                assert chaos_lp(params, p) == expected
+                t = share * expected
+                assert tail_probability(params, t) == per_call_tail(plain, n, t)
+                assert tail_probability(params, 0.0) == per_call_tail(plain, n, 0.0)
+
+    def test_more_functions_than_the_caches_hold(self):
+        # 306 functions over three n, three rounds at p = 3.5, 8, 3.5: every
+        # record and memo entry is evicted between the calls that share it
+        fns = [(n, (lambda s, c=c, n=n: c * s + 0.25 * (s * s - n)))
+               for c in range(100) for n in (16, 25, 40)]
+        one = lambda s: 0.3 * s * s - s                 # one g at three n
+        fns += [(n, one) for n in (16, 25, 40)] * 2
+        for p in (3.5, 8, 3.5):
+            for n, g in fns:
+                assert oracle.collapse_lp(g, n, p) == per_call_collapse_lp(g, n, p)
+
+    def test_record_arrays_are_read_only(self):
+        params = ChaosParams(36, 0.0, 1.0)        # g = 0 at S = +-6
+        chaos_lp(params, 2)
+        record = oracle._support(chaos_collapsed(params), 36)
+        assert np.count_nonzero(record.vals == 0) == 2
+        for a in (record.vals, record.logv, record.logw, record.weights):
+            assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            record.vals[0] = 1.0
+
+    def test_records_of_one_n_share_the_weights(self):
+        a = oracle._support(chaos_collapsed(ChaosParams(50, 1.0, 1.0)), 50)
+        b = oracle._support(chaos_collapsed(ChaosParams(50, 2.0, 1.0)), 50)
+        assert b.logw is a.logw and b.weights is a.weights
+        assert oracle._support(chaos_collapsed(ChaosParams(50, 2.0, 1.0)), 50) is b
 
 
 class TestCrossRoutes:

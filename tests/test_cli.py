@@ -11,8 +11,11 @@ from pathlib import Path
 import pytest
 
 import stablebounds
-from stablebounds import cli
+from stablebounds import cli, oracle
+from stablebounds.chaos import _collapsed
 from stablebounds.cli import ConfigError, main, run
+from stablebounds.oracle import _collapse_lp
+from stablebounds.partition import _telescoping_deviation
 
 DATA = Path(__file__).parent / "data"
 
@@ -273,6 +276,29 @@ class TestDeterminism:
         sys.setswitchinterval(1e-5)
         try:
             assert run_main(args + ["--out", b, "--threads", "3"]) == 0
+        finally:
+            sys.setswitchinterval(interval)
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("args", [
+        ["chaos", "--n", "9,16,40", "--M", "0,1", "--beta", "0.5,1", "--p", "2,8"],
+        ["partition", "--n", "6,9", "--M", "0,1", "--beta", "0.5,1", "--p", "2,4,8"],
+    ])
+    @pytest.mark.parametrize("threads", ["2", "3"])
+    def test_cold_shared_caches_thread_independent(self, tmp_path, args, threads):
+        # two pool threads share the one-entry collapse record and the
+        # memoized norms and telescoping reports, each emptied first; a short
+        # switch interval makes them replace each other's record mid-row
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_main(args + ["--out", a, "--threads", "1"]) == 0
+        _collapse_lp.cache_clear()
+        _collapsed.cache_clear()
+        _telescoping_deviation.cache_clear()
+        oracle._last_support = None
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            assert run_main(args + ["--out", b, "--threads", threads]) == 0
         finally:
             sys.setswitchinterval(interval)
         assert a.read_bytes() == b.read_bytes()

@@ -125,6 +125,81 @@ class TestEnumerateLp:
         assert empirical_tail(sum_function(22), 22.0) == pytest.approx(2.0 ** -21)
 
 
+class Unhashable:
+    """A pure callable that cannot be a cache key."""
+
+    __hash__ = None
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __call__(self, rows):
+        return self.fn(rows)
+
+
+def counted(n, fn):
+    """A sign function of arity n and the list its evaluations append to."""
+    calls = []
+
+    def evaluate(rows):
+        calls.append(len(rows))
+        return fn(rows)
+
+    return SignFunction(n, evaluate), calls
+
+
+class TestAbsCache:
+    """Up to n = 20, |f| of the last function enumerated is kept across orders p."""
+
+    @pytest.mark.parametrize("n", [5, 17])
+    def test_orders_equal_uncached_bit_for_bit(self, n):
+        # two functions interleaved, so the one-entry cache turns over every call
+        fns = [lambda rows: rows.sum(axis=1, dtype=np.float64) ** 2 - 0.7 * rows[:, -1],
+               lambda rows: np.exp(rows[:, 0] + 0.1 * rows.sum(axis=1, dtype=np.float64))]
+        for p in range(1, 11):
+            for fn in fns:
+                assert (enumerate_lp(SignFunction(n, fn), p)
+                        == enumerate_lp(SignFunction(n, Unhashable(fn)), p))
+                assert (empirical_tail(SignFunction(n, fn), 2.5)
+                        == empirical_tail(SignFunction(n, Unhashable(fn)), 2.5))
+
+    def test_one_evaluation_up_to_twenty(self):
+        f, calls = counted(20, lambda rows: rows[:, 3].astype(np.float64))
+        for p in (1, 2, 8):
+            enumerate_lp(f, p)
+        assert empirical_tail(f, 0.5) == 1.0
+        assert calls == [1 << 16] * 16              # 16 blocks, once
+
+    def test_arity_21_is_streamed(self):
+        f, calls = counted(21, lambda rows: rows[:, 3].astype(np.float64))
+        enumerate_lp(f, 2)
+        enumerate_lp(f, 3)
+        assert calls == [1 << 16] * 64              # 32 blocks per call
+        assert oracle._last_abs is None or oracle._last_abs[0] != f
+
+    def test_cached_blocks_are_read_only(self):
+        f = sum_function(9)
+        before = enumerate_lp(f, 3)
+        blocks = oracle._last_abs[1]
+        assert oracle._last_abs[0] == f
+        assert all(not v.flags.writeable for v in blocks)
+        assert enumerate_lp(f, 3) == before         # the powers went to copies
+
+    def test_one_public_sign_matrix_call_per_call(self, monkeypatch):
+        calls = []
+
+        def counted_sign_matrix(n):
+            calls.append(n)
+            return sign_matrix(n)
+
+        monkeypatch.setattr(oracle, "sign_matrix", counted_sign_matrix)
+        f = sum_function(18)
+        enumerate_lp(f, 2)
+        enumerate_lp(f, 8)                          # a hit
+        empirical_tail(f, 1.0)
+        assert calls == [16, 16, 16]
+
+
 class TestCollapseLp:
     def test_plain_sum_n100(self):
         assert collapse_lp(lambda s: s, 100, 2) == pytest.approx(10.0, rel=1e-12)
@@ -202,8 +277,10 @@ class TestCollapseMemo:
         # the scaled function of the out-of-range path is evaluated uncached:
         # a fresh closure could never hit, and its entry would keep g alive
         _collapse_lp.cache_clear()
-        assert collapse_lp(lambda s: 1e10 * s, 4, 1e308) == 4e10
+        g = lambda s: 1e10 * s
+        assert collapse_lp(g, 4, 1e308) == 4e10
         assert _collapse_lp.cache_info().currsize == 1
+        assert oracle._last_support.g is g          # nor its support record
 
     def test_unhashable_callable_is_computed(self):
         class Scaled:
@@ -286,12 +363,27 @@ class TestLogBinomialWeights:
                     - n * math.log(2.0))
         assert np.array_equal(log_binomial_weights(n), expected)
 
-    def test_read_only_and_shared(self):
+    def test_read_only(self):
         w = log_binomial_weights(9)
         assert not w.flags.writeable
         with pytest.raises(ValueError):
             w[0] = 0.0
-        assert log_binomial_weights(9) is w
+
+    def test_weights_of_one_n_are_held(self):
+        # the weights live in the collapse's one support record, with |g|, its
+        # log and exp(weights): four arrays of n + 1, where a cache of the
+        # weights of every n would hold eight more over these eight n
+        row = 8 * ((1 << 16) + 1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for k in range(8):
+                n = (1 << 16) - k
+                collapse_lp(lambda s: s * s - 3.0 * s, n, 8)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 5 * row
 
 
 class TestMonteCarlo:

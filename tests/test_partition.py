@@ -14,7 +14,8 @@ from stablebounds.chaos import ChaosParams, chaos_g, chaos_lp
 from stablebounds.oracle import sign_matrix
 from stablebounds import partition
 from stablebounds.partition import (PartitionTree, _enumerated, _sibling_sum,
-                                    _upper_sums, block_of, build_partition,
+                                    _telescoping_deviation, _upper_sums,
+                                    block_of, build_partition,
                                     telescope_term_generic,
                                     verify_level_bounds, verify_telescoping)
 
@@ -261,7 +262,8 @@ class TestSharedBlockSums:
         _upper_sums.cache_clear()                 # a cache miss adds no call
         verify_telescoping(ChaosParams(10, 1.0, 0.5))
         verify_level_bounds(ChaosParams(10, 1.0, 0.5), 4.0)
-        assert calls == [10, 10]
+        verify_telescoping(ChaosParams(10, 1.0, 0.5))   # a memoized report too
+        assert calls == [10, 10, 10]
 
     @pytest.mark.parametrize("n", [14, 16])
     def test_warm_call_holds_at_most_eight_rows(self, n):
@@ -270,6 +272,39 @@ class TestSharedBlockSums:
         params, rows = ChaosParams(n, 1.0, 0.3), 8 * 8 << n
         assert warm_traced_peak(lambda: verify_telescoping(params)) <= rows
         assert warm_traced_peak(lambda: verify_level_bounds(params, 8.0)) <= rows
+        # the memoized report above is a hit; its core holds the same rows
+        core = lambda: _telescoping_deviation.__wrapped__(n, 1.0, 0.15)
+        assert warm_traced_peak(core) <= rows
+
+    def test_level_bounds_hold_their_four_work_rows(self):
+        # the exact sum norm takes M*S + (beta/2)*(S*S - n) into two of the
+        # work rows; evaluated afresh it would add two rows of temporaries
+        row = 8 << 16
+        peak = warm_traced_peak(lambda: verify_level_bounds(ChaosParams(16, 1.0, 0.3), 8.0))
+        assert 4 * row <= peak < 5 * row
+
+
+class TestTelescopingMemo:
+    """The telescoping report takes no p: one computation per (n, M, beta/2)."""
+
+    @pytest.mark.parametrize("params", [ChaosParams(1, 2.0, 0.0), ChaosParams(6, 0.5, 0.5),
+                                        ChaosParams(9, 1000, 300), ChaosParams(12, 0.1, 10.0),
+                                        # M sets the rounding of g_i + M*z_i - M*z_i here
+                                        ChaosParams(7, 0.1, 0.3), ChaosParams(12, 1e10, 0.2)])
+    def test_equals_uncached_core(self, params):
+        key = (params.n, float(params.M), float(0.5 * params.beta))
+        expected = _telescoping_deviation.__wrapped__(*key)
+        for _ in range(2):
+            report = verify_telescoping(params)
+            assert report == partition.TelescopeReport(params.n, expected)
+
+    def test_orders_share_one_computation(self):
+        _telescoping_deviation.cache_clear()
+        for p in (2, 4, 8):
+            verify_telescoping(ChaosParams(8, 1.0, 1.0))
+            verify_level_bounds(ChaosParams(8, 1.0, 1.0), p)
+        verify_telescoping(ChaosParams(8, 1, 1))      # equal M and beta as ints
+        assert _telescoping_deviation.cache_info().misses == 1
 
 
 class TestTermNormClosedForm:
