@@ -8,7 +8,7 @@ that are kept deliberately independent of each other:
 * ``collapse_lp``  -- exact binomial weights for functions that factor
   through the coordinate sum S = sum(Z_i), usable at any n up to
   ``_COLLAPSE_CAP`` (the arrays over the support of S hold about 41 B per
-  unit of n);
+  unit of n: a ``chaos`` run peaks at 688 MB at the cap);
 * ``mc_lp``        -- seeded, scheduling-independent Monte Carlo; a
   ``MomentSpec`` describes only such a run.
 
@@ -34,6 +34,14 @@ the enumeration copies ``sign_matrix(min(n, 16))`` into every block.
 there in place (``v **= p``), so a caller that takes many norms of one
 length reuses one row and never has its input written.
 
+The log binomial weights come from ``_lgam``, a numpy port of cephes
+``lgam`` at integer x, bit for bit scipy's ``gammaln``, so no scipy submodule
+is loaded at run time (``scipy.special`` took about 0.3 s and 24 MB of every
+import). It takes log x from ``math.log``, libm's log as in cephes, since
+numpy's SIMD log differs from it in the last bit at some integers. The
+weights cost about 180 ns per unit of n, against about 40 ns with
+``gammaln``; above n of about 2e6 that costs more than the import saved.
+
 Also provides the two reference moment functionals for weighted Rademacher
 sums (Hitczenko) and for the all-ones off-diagonal Rademacher quadratic form
 (Latala).
@@ -43,11 +51,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import log, sqrt
+from math import factorial, log, sqrt
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy.special import gammaln
+# The top-level package alone, no submodule: bench/server.py reads
+# sys.modules["scipy"].__version__ for the version record of every run.
+import scipy  # noqa: F401
 
 ENUMERATION_CAP = 26   # 2**26 ~ 6.7e7 evaluations keeps the oracle interactive
 MC_BLOCK = 4096        # replicate block size; fixed so streams never depend on scheduling
@@ -55,6 +65,16 @@ _BLOCK_ARITY = 16      # enumeration blocks of 2**16 rows
 _CACHED_ARITY = 20     # sign matrices up to 20 x 2**20 (~21 MB) are cached; also their cap
 _COLLAPSE_CAP = 1 << 24  # a collapse over n signs peaks near 41 B * n: ~0.7 GB at the cap
 _LOG2 = log(2.0)
+# cephes lgam (scipy.special.gammaln): log sqrt(2 pi), and the coefficients in
+# 1/x^2 of its Stirling series, highest power first, for 13 <= x < 1000 and for
+# x >= 1000 (x - c is x + (-c) in floating point)
+_LS2PI = 0.91893853320467274178
+_LGAM_SERIES = ((slice(0, 1000 - 13), (8.11614167470508450300E-4, -5.95061904284301438324E-4,
+                                       7.93650340457716943945E-4, -2.77777777730099687205E-3,
+                                       8.33333333333331927722E-2)),
+                (slice(1000 - 13, None), (7.9365079365079365079365e-4,
+                                          -2.7777777777777777777778e-3,
+                                          0.0833333333333333333333)))
 
 
 @dataclass(frozen=True)
@@ -240,11 +260,44 @@ def _check_collapse_n(n: int) -> None:
         raise ValueError(f"n = {n} exceeds the binomial collapse cap {_COLLAPSE_CAP}")
 
 
+def _lgam(m: int) -> np.ndarray:
+    """log Gamma(x) at x = 1..m, bit for bit cephes ``lgam`` (scipy's
+    ``gammaln``) at integers up to 2**24 + 1, with its constants and order of
+    operations: below 13 the log of the exact (x - 1)!, from 13 on Stirling's
+    series (cephes drops the series only above 1e8). log x is libm's
+    ``math.log``, the ``log`` cephes calls; numpy's SIMD ``np.log`` differs from
+    it in the last bit at some integers, and so would the weights."""
+    out = np.empty(m)
+    out[:12] = [log(factorial(x - 1)) for x in range(1, min(m, 12) + 1)]
+    if m <= 12:
+        return out
+    x = np.arange(13, m + 1, dtype=np.float64)
+    q = out[12:]
+    p = np.fromiter(map(log, range(13, m + 1)), np.float64, m - 12)    # log x, then 1/x^2
+    np.subtract(x, 0.5, out=q)
+    q *= p
+    q -= x
+    q += _LS2PI                         # (x - 0.5) log x - x + log sqrt(2 pi)
+    np.multiply(x, x, out=p)
+    np.divide(1.0, p, out=p)
+    for part, coefs in _LGAM_SERIES:    # q += polevl(p, coefs) / x
+        t = np.full_like(p[part], coefs[0])
+        for c in coefs[1:]:
+            t *= p[part]
+            t += c
+        t /= x[part]
+        q[part] += t
+    return out
+
+
 def log_binomial_weights(n: int) -> np.ndarray:
-    """log of C(n,k) * 2^-n for k = 0..n, as a read-only array."""
+    """log of C(n,k) * 2^-n for k = 0..n, as a read-only array: log n! -
+    log k! - log (n - k)! - n log 2 from one ``_lgam`` over 1..n + 1."""
     _check_collapse_n(n)
-    k = np.arange(n + 1, dtype=np.float64)
-    w = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1) - n * _LOG2
+    lg = _lgam(n + 1)                   # lg[k] = log k!
+    w = lg[n] - lg
+    w -= lg[::-1]
+    w -= n * _LOG2
     w.flags.writeable = False           # shared by the support records of this n
     return w
 

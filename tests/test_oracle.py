@@ -8,6 +8,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from stablebounds import oracle
@@ -355,13 +357,36 @@ class TestCollapseCap:
         assert collapse_lp(lambda s: s, 64, 2) == pytest.approx(8.0, rel=1e-12)
 
 
+def _gammaln_weights(n):
+    k = np.arange(n + 1, dtype=np.float64)
+    return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1) - n * math.log(2.0)
+
+
 class TestLogBinomialWeights:
-    @pytest.mark.parametrize("n", [1, 2, 7, 64, 16384])
+    # the weights come from a port of cephes lgam; scipy's gammaln, the same
+    # cephes code, is the independent reference, bit for bit
+    def test_lgam_equals_gammaln_on_every_integer(self):
+        # every x up to 2**20 + 1, both branches of the series; on AVX-512
+        # hardware numpy's SIMD log differs from libm's at 48 of these x
+        m = (1 << 20) + 1
+        got = oracle._lgam(m)
+        expected = gammaln(np.arange(1, m + 1, dtype=np.float64))
+        assert np.flatnonzero(got != expected).tolist() == []
+
+    # the branch edges of lgam at x = 13 and x = 1000 (x = n + 1 at k = n)
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 11, 12, 13, 64, 998, 999, 1000,
+                                   16384, 32768])
     def test_equals_gammaln_formula(self, n):
-        k = np.arange(n + 1, dtype=np.float64)
-        expected = (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-                    - n * math.log(2.0))
-        assert np.array_equal(log_binomial_weights(n), expected)
+        w = log_binomial_weights(n)
+        assert np.array_equal(w, _gammaln_weights(n))
+        assert not w.flags.writeable
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(0, 5000))
+    def test_equals_gammaln_formula_drawn(self, n):
+        w = log_binomial_weights(n)
+        assert np.array_equal(w, _gammaln_weights(n))
+        assert not w.flags.writeable
 
     def test_read_only(self):
         w = log_binomial_weights(9)
