@@ -17,7 +17,7 @@ bound, evaluated as 1 when n = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, log, sqrt
+from math import exp, isfinite, log, sqrt
 from typing import Mapping
 
 import numpy as np
@@ -171,8 +171,8 @@ def moments_from_tail(a: float, b: float, p: float) -> float:
     if |Y| <= a*sqrt(log(e/d)) + b*log(e/d) w.p. 1-d for all d, then
     ||Y||_p <= 3*sqrt(p)*a + 9*p*b for all p >= 1."""
     _require_nonneg(a=a, b=b)
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    if not isfinite(p) or p < 1:
+        raise ValueError(f"p must be finite and >= 1, got {p}")
     return 3 * sqrt(p) * a + 9 * p * b
 
 

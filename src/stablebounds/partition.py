@@ -29,8 +29,14 @@ included, so its memory does not grow with the number of terms. The
 telescoping check takes no p: its worst deviation is memoized per
 (n, M, beta/2), a float per key, and the rows of a grid over p compute it
 once. Every term of a block has the same norm,
-(beta/2)*||sibling sum||_p, since |z_i| = 1. Norms whose |v|^p leaves the
-float range are taken scaled by max|v|. A slow generic
+(beta/2)*||sibling sum||_p, since |z_i| = 1. The family's symmetry makes
+more work equal, and each is done once. Two indices whose sibling blocks
+have the same real size at every level differ by a coordinate permutation,
+which permutes their deviation values, and a max does not depend on order:
+the telescoping check takes one index per class of sizes (1 at n = 16, at
+most 4 for n <= 20). Every level-0 term and block is +-beta/2 at each
+entry, and equal arrays have equal norms: one norm serves them all. Norms
+whose |v|^p leaves the float range are taken scaled by max|v|. A slow generic
 conditional-expectation path (nested enumeration) is kept as an independent
 cross-check of the verifiers' block sums.
 """
@@ -39,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -170,6 +176,11 @@ def _sibling_sum(sums, i: int, l: int):
     return sums[l][sib] if sib < len(sums[l]) else None
 
 
+def _sibling_size(n: int, i: int, l: int) -> int:
+    """Real indices in B^{l+1}(i) \\ B^l(i); 0 where ``_sibling_sum`` is None."""
+    return min(1 << l, max(0, n - (((i >> l) ^ 1) << l)))
+
+
 def verify_telescoping(params: ChaosParams) -> TelescopeReport:
     """Check the telescoping identity on every sign vector and index.
 
@@ -185,12 +196,17 @@ def verify_telescoping(params: ChaosParams) -> TelescopeReport:
 @lru_cache(maxsize=64)
 def _telescoping_deviation(n: int, M: float, half_beta: float) -> float:
     """Worst |sum_l (g_i^l - g_i^{l+1}) - (g_i - M*z_i)|, from the private
-    ``_sign_columns`` and ``_upper_sums``, as ``_upper_sums`` itself is built."""
+    ``_sign_columns`` and ``_upper_sums``, as ``_upper_sums`` itself is built.
+
+    Index i's deviation is elementwise in z_i, S and its sibling sums, so two
+    indices whose siblings have the same real sizes at every level give the
+    same values permuted; one index per class stands for it."""
     sums = [_sign_columns(n), *_upper_sums(n)]
     total = sums[-1][0]
     half_zi, tmp, g_i, acc = np.empty((4, 1 << n))
     worst = 0.0
-    for i in range(n):
+    classes = {tuple(_sibling_size(n, i, l) for l in range(len(sums) - 1)): i for i in range(n)}
+    for i in classes.values():                    # one index per class
         zi = sums[0][i]
         np.multiply(half_beta, zi, out=half_zi)   # shared by g_i and every term
         np.multiply(M, zi, out=tmp)
@@ -241,10 +257,13 @@ class LevelBoundsReport:
 
 
 def verify_level_bounds(params: ChaosParams, p: float) -> LevelBoundsReport:
-    """Exact-norm check of every bound used by the telescoping argument."""
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p}")
+    """Exact-norm check of every bound used by the telescoping argument.
+
+    p and the final bound are checked before any enumeration."""
+    if not isfinite(p) or p < 2:
+        raise ValueError(f"p must be finite and >= 2, got {p}")
     n = params.n
+    final = dyadic_sum_moment_bound(p, n, params.beta, params.M).value
     tree, sums = _enumerated(n)
     beta, half_beta = params.beta, float(0.5 * params.beta)
     level_values, half_sib, block_values, work = np.empty((4, 1 << n))
@@ -253,6 +272,7 @@ def verify_level_bounds(params: ChaosParams, p: float) -> LevelBoundsReport:
     block_slacks = []
     level_slacks = []
     level_norms = []
+    norm0 = None
     for l in range(tree.k):
         term_bound = 2.0 * sqrt(p * (1 << l)) * beta
         block_bound = 6.0 * _SQRT2 * p * (1 << l) * beta
@@ -269,11 +289,17 @@ def verify_level_bounds(params: ChaosParams, p: float) -> LevelBoundsReport:
             # term_i = z_i * (beta/2) * sib and |z_i| = 1, so every term of
             # the block has the norm of (beta/2) * sib
             np.multiply(half_beta, sib, out=half_sib)
-            term_slacks.extend([term_bound - lp_norm(half_sib, p, work)] * len(real))
             block_values.fill(0.0)
             for i in real:
                 block_values += np.multiply(sums[0][i], half_sib, out=work)
-            block_slacks.append(block_bound - lp_norm(block_values, p, work))
+            if l == 0:      # every level-0 term and block is +-beta/2 at each entry
+                norm0 = lp_norm(half_sib, p, work) if norm0 is None else norm0
+                term_norm = block_norm = norm0
+            else:
+                term_norm = lp_norm(half_sib, p, work)
+                block_norm = lp_norm(block_values, p, work)
+            term_slacks.extend([term_bound - term_norm] * len(real))
+            block_slacks.append(block_bound - block_norm)
             level_values += block_values
         level_norms.append(lp_norm(level_values, p, work))
         level_slacks.append(level_bound - level_norms[-1])
@@ -284,7 +310,6 @@ def verify_level_bounds(params: ChaosParams, p: float) -> LevelBoundsReport:
     chain_value = params.M * lp_norm(total, p, work) + float(np.sum(level_norms))
     chain_bound = (4.0 * params.M * sqrt(p * n)
                    + 6.0 * _SQRT2 * p * tree.n_padded * beta * tree.k)
-    final = dyadic_sum_moment_bound(p, n, beta, params.M).value
 
     def layer(label: str, slacks: list[float]) -> LayerCheck:
         if not slacks:

@@ -16,7 +16,7 @@ from stablebounds.partition import verify_level_bounds, verify_telescoping
 
 PATH = Path(__file__).parent / "data" / "verifier_reference.json"
 
-NS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 16)
+NS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16)
 M_BETA = ((0.0, 1.0), (1.0, 1.0), (0.1, 0.3), (10.0, 0.1), (2.5, 7.0))
 PS = (2.0, 3.5, 8.0)
 

@@ -149,6 +149,11 @@ class TestTailMomentEquivalence:
         assert moments_from_tail(0.0, 1.0, 1) == pytest.approx(9.0, rel=1e-12)
         assert moments_from_tail(0.0, 0.0, 7) == 0.0
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf, 0.5])
+    def test_moments_from_tail_rejects_bad_p(self, p):
+        with pytest.raises(ValueError, match=f"p must be finite and >= 1, got {p}"):
+            moments_from_tail(1.0, 1.0, p)
+
     def test_tail_from_moments_values(self):
         # delta = 1/e makes log(e/delta) = 2
         assert tail_from_moments(1.0, 0.0, 1 / E) == pytest.approx(E * SQRT2, rel=1e-12)

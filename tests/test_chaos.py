@@ -110,6 +110,19 @@ class TestVerifyConditions:
         assert report.passed
         assert peak < 8 * 2**20
 
+    @pytest.mark.parametrize("M,beta", [(0.1, 0.3), (1e10, 0.2), (1e200, 1e200)])
+    def test_one_flip_stands_for_every_flip(self, M, beta):
+        # every j != i gives the same values permuted; the loop over all of them
+        flips = sign_matrix(16).T
+        t = flips.sum(axis=0, dtype=np.float64)
+        worst = 0.0
+        for zi in (1.0, -1.0):
+            g = zi * M + 0.5 * beta * zi * t
+            for zj in flips:
+                diff = float(np.max(np.abs(g - (zi * M + 0.5 * beta * zi * (t - 2.0 * zj)))))
+                worst = max(worst, max(diff - beta, 0.0))
+        assert verify_chaos_conditions(ChaosParams(17, M, beta)).bounded_difference == worst
+
     @pytest.mark.parametrize("M,beta", [(0.0, 1.0), (1.0, 0.0), (2.5, 3.0)])
     def test_single_coordinate(self, M, beta):
         # no other coordinates: g_0 = M*z_0, and every violation is 0

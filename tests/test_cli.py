@@ -94,6 +94,18 @@ class TestConfigHandling:
                          "--p", "2"]) == 1
         assert "cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args,message", [
+        (["partition", "--n", "18", "--M", "1", "--beta", "1", "--p", "nan"],
+         "p must be finite and >= 2, got nan"),
+        (["tails", "--a", "1", "--b", "1", "--p", "nan", "--delta", "0.1"],
+         "p must be finite and >= 1, got nan"),
+        (["tails", "--a", "1", "--b", "1", "--p", "inf", "--delta", "0.1"],
+         "p must be finite and >= 1, got inf"),
+    ])
+    def test_non_finite_p_is_error_exit(self, args, message, capsys):
+        assert run_main(args) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_unknown_learner(self):
         assert run_main(["learn", "--learner", "svm", "--n", "10",
                          "--delta", "0.1", "--reps", "1000", "--seed", "1"]) == 1

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stablebounds.chaos import ChaosParams, chaos_g, chaos_lp
-from stablebounds.oracle import sign_matrix
+from stablebounds.oracle import lp_norm, sign_matrix
 from stablebounds import partition
 from stablebounds.partition import (PartitionTree, _enumerated, _sibling_sum,
                                     _telescoping_deviation, _upper_sums,
@@ -217,6 +217,23 @@ class TestVerifyLevelBounds:
         with pytest.raises(ValueError, match="cap"):
             verify_level_bounds(ChaosParams(21, 1.0, 1.0), 2.0)
 
+    @pytest.mark.parametrize("p,message", [
+        (math.nan, "p must be finite and >= 2, got nan"),
+        (math.inf, "p must be finite and >= 2, got inf"),
+        (1e308, "bound value must be finite"),      # the final bound overflows
+    ])
+    def test_bad_p_fails_before_any_enumeration(self, monkeypatch, p, message):
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return sign_matrix(n)
+
+        monkeypatch.setattr(partition, "sign_matrix", counted)
+        with pytest.raises(ValueError, match=message):
+            verify_level_bounds(ChaosParams(18, 1.0, 1.0), p)
+        assert calls == []
+
 
 def warm_traced_peak(run) -> int:
     """Peak traced bytes of ``run()`` once an untraced call has filled every cache."""
@@ -332,3 +349,42 @@ class TestTermNormClosedForm:
             # the verifiers' norm: |v|^p leaves the float range at large p
             assert lp_norm(term.eval(sign_matrix(n)), p) == pytest.approx(expected, rel=1e-10)
             assert enumerate_lp(term, p) == pytest.approx(expected, rel=1e-10)
+
+
+class TestSymmetryReductions:
+    """Each verifier computes once what the family's symmetry makes equal:
+    one index per class of sibling sizes, one level-0 norm, one flip. Each is
+    held here to the loop it replaces, written out from the enumeration."""
+
+    @pytest.mark.parametrize("n,M,half_beta", [
+        (17, 0.1, 0.15), (17, 1e10, 0.1), (19, 0.1, 0.15), (19, 1e10, 0.1),
+        # here the worst index lies outside index 0's class
+        (11, 78.751, 0.185), (15, 227148239.767, 0.047),
+    ])
+    def test_telescoping_deviation_equals_max_over_every_index(self, n, M, half_beta):
+        tree, sums = _enumerated(n)
+        total = sums[-1][0]
+        worst = 0.0
+        for i in range(n):
+            zi = sums[0][i]
+            half_zi, m_zi = half_beta * zi, M * zi
+            g = half_zi * (total - zi) + m_zi - m_zi
+            acc = np.zeros(1 << n)
+            for l in range(tree.k):
+                sib = _sibling_sum(sums, i, l)
+                if sib is not None:
+                    acc = acc + half_zi * sib
+            worst = max(worst, float(np.max(np.abs(acc - g))))
+        assert _telescoping_deviation.__wrapped__(n, M, half_beta) == worst
+
+    def test_level_zero_slacks_equal_every_row_norm(self):
+        n, p, beta = 17, 3.5, 0.3
+        report = verify_level_bounds(ChaosParams(n, 0.1, beta), p)
+        z = sign_matrix(n).T
+        # i = 16 has only padding beside it; every other level-0 term and block
+        # is z_i * (beta/2) * z_{i^1}
+        norms = {lp_norm(0.0 + z[i] * (0.5 * beta * z[i ^ 1]), p) for i in range(n - 1)}
+        assert len(norms) == 1
+        norm = norms.pop()
+        assert report.terms.min_slack == 2.0 * math.sqrt(p) * beta - norm
+        assert report.blocks.min_slack == 6.0 * math.sqrt(2.0) * p * beta - norm
