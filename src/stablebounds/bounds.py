@@ -202,7 +202,7 @@ def classical_moment_bound(kind: str, *, n: int, p: float,
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if p < 2:
+    if not p >= 2:
         raise ValueError(f"p must be >= 2, got {p}")
     if kind == "mcdiarmid":
         if beta is None:

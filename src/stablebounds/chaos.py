@@ -210,7 +210,7 @@ def lower_ratio(params: ChaosParams, p: float) -> float:
 def tail_probability(params: ChaosParams, t: float) -> float:
     """Exact P(|sum_i g_i| >= t) via binomial weights (any n up to the collapse
     cap)."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"threshold must be >= 0, got {t}")
     _check_collapse_n(params.n)
     support = _support(chaos_collapsed(params), params.n)   # shared with chaos_lp

@@ -7,6 +7,10 @@ the command line and the command line wins. Grid points execute in a thread
 pool, but rows are keyed to their position in the sorted grid, so output
 files are byte-identical for any thread count.
 
+Each command is declared once, in ``_COMMANDS``: its grid keys, its row
+evaluator and its provenance. A row holds the command, the provenance, the
+grid point in grid-key order, then the command's own columns.
+
 Exit codes: 0 all assertions in the run passed, 1 configuration error
 (including inputs whose arithmetic leaves the float range, such as an
 OverflowError, and a run that ends in a MemoryError or RuntimeError),
@@ -36,32 +40,6 @@ _LEARNERS = {
     "clipped_mean": lambda: (lab.clipped_mean_learner(), lab.bernoulli_labels()),
     "shrunk_mean": lambda: (lab.shrunk_mean_learner(), lab.bernoulli_labels()),
     "memorizer": lambda: (lab.memorizer_learner(), lab.labelled_pair()),
-}
-
-_HEADERS = {
-    "bounds": ["command", "provenance", "n", "gamma", "L", "delta",
-               "bousquet02", "fv2018", "fv2019", "single_log", "ok"],
-    "chaos": ["command", "provenance", "n", "M", "beta", "p", "norm",
-              "dyadic_bound", "dominance_ok", "lower_ratio", "lower_ok",
-              "pz_lhs", "pz_rhs", "pz_ok", "second_moment",
-              "second_moment_bound", "second_moment_ok", "ok"],
-    "partition": ["command", "provenance", "n", "M", "beta", "p",
-                  "telescope_dev", "telescope_ok", "term_violations",
-                  "block_violations", "level_violations", "chain_ok", "ok"],
-    "learn": ["command", "provenance", "learner", "n", "delta", "reps", "seed",
-              "gamma", "quantile", "bousquet02", "fv2018", "fv2019",
-              "single_log", "moment_tail", "quantile_ok", "sandwich_reps",
-              "sandwich_violations", "sandwich_max_slack", "sandwich_ok", "ok"],
-    "tails": ["command", "provenance", "a", "b", "p", "delta",
-              "moment_bound", "tail_bound", "ok"],
-}
-
-_GRID_KEYS = {
-    "bounds": ["n", "gamma", "L", "delta"],
-    "chaos": ["n", "M", "beta", "p"],
-    "partition": ["n", "M", "beta", "p"],
-    "learn": ["learner", "n", "delta"],
-    "tails": ["a", "b", "p", "delta"],
 }
 
 _INT_KEYS = {"n"}
@@ -123,7 +101,7 @@ def _sort_key(point: tuple):
 
 
 def build_grid(command: str, grid: dict) -> list[tuple]:
-    keys = _GRID_KEYS[command]
+    keys = _COMMANDS[command][0]
     unknown = set(grid) - set(keys)
     if unknown:
         raise ConfigError(f"unknown grid keys for {command}: {sorted(unknown)}")
@@ -151,8 +129,7 @@ def _row_bounds(point, cfg, seed):
     ok = all(np.isfinite(v) and v >= 0 for v in values.values())
     if n >= 3:
         ok = ok and values["single_log"] <= values["fv2019"] * (1 + 1e-12)
-    return [{"command": "bounds", "provenance": "exact", "n": n, "gamma": gamma,
-             "L": L, "delta": delta, **values, "ok": ok}]
+    return {"gamma": gamma, **values, "ok": ok}
 
 
 def _row_chaos(point, cfg, seed):
@@ -172,29 +149,24 @@ def _row_chaos(point, cfg, seed):
     cert = ch.paley_zygmund_certificate(params, max(p, 2.0))
     sm = ch.chaos_lp(params, 2.0)
     smb = bd.second_moment_bound(n, beta, M)
-    return [{"command": "chaos", "provenance": "exact", "n": n, "M": M,
-             "beta": beta, "p": p, "norm": norm, "dyadic_bound": bound,
-             "dominance_ok": dominance_ok, "lower_ratio": ratio,
-             "lower_ok": lower_ok, "pz_lhs": cert.lhs, "pz_rhs": cert.rhs,
-             "pz_ok": cert.valid, "second_moment": sm,
-             "second_moment_bound": smb, "second_moment_ok": sm <= smb * (1 + 1e-12),
-             "ok": dominance_ok and lower_ok and cert.valid and sm <= smb * (1 + 1e-12)}]
+    sm_ok = sm <= smb * (1 + 1e-12)
+    return {"norm": norm, "dyadic_bound": bound, "dominance_ok": dominance_ok,
+            "lower_ratio": ratio, "lower_ok": lower_ok, "pz_lhs": cert.lhs,
+            "pz_rhs": cert.rhs, "pz_ok": cert.valid, "second_moment": sm,
+            "second_moment_bound": smb, "second_moment_ok": sm_ok,
+            "ok": dominance_ok and lower_ok and cert.valid and sm_ok}
 
 
 def _row_partition(point, cfg, seed):
     n, M, beta, p = point
     params = ch.ChaosParams(n=n, M=M, beta=beta)
+    rep = pt.verify_level_bounds(params, p)     # checks p before it enumerates
     tel = pt.verify_telescoping(params)
-    rep = pt.verify_level_bounds(params, p)
-    telescope_ok = tel.passed
-    ok = telescope_ok and rep.passed
-    return [{"command": "partition", "provenance": "exact", "n": n, "M": M,
-             "beta": beta, "p": p, "telescope_dev": tel.max_deviation,
-             "telescope_ok": telescope_ok,
-             "term_violations": rep.terms.violations,
-             "block_violations": rep.blocks.violations,
-             "level_violations": rep.levels.violations,
-             "chain_ok": rep.passed, "ok": ok}]
+    return {"telescope_dev": tel.max_deviation, "telescope_ok": tel.passed,
+            "term_violations": rep.terms.violations,
+            "block_violations": rep.blocks.violations,
+            "level_violations": rep.levels.violations,
+            "chain_ok": rep.passed, "ok": tel.passed and rep.passed}
 
 
 def _row_learn(point, cfg, seed):
@@ -206,17 +178,14 @@ def _row_learn(point, cfg, seed):
     row = table.rows[0]
     sandwich_reps = min(reps, int(cfg.get("sandwich_reps", 500)))
     sweep = lab.sandwich_sweep(spec, dist, n, sandwich_reps, seed=_mix_seed(seed, 1))
-    ok = row.dominated and sweep.passed
-    return [{"command": "learn", "provenance": "montecarlo",
-             "learner": learner_name, "n": n, "delta": delta, "reps": reps,
-             "seed": seed, "gamma": table.gamma, "quantile": row.quantile,
-             "bousquet02": row.bousquet02, "fv2018": row.fv2018,
-             "fv2019": row.fv2019, "single_log": row.single_log,
-             "moment_tail": row.moment_tail, "quantile_ok": row.dominated,
-             "sandwich_reps": sweep.reps,
-             "sandwich_violations": sweep.violations,
-             "sandwich_max_slack": sweep.max_slack,
-             "sandwich_ok": sweep.passed, "ok": ok}]
+    return {"reps": reps, "seed": seed, "gamma": table.gamma,
+            "quantile": row.quantile, "bousquet02": row.bousquet02,
+            "fv2018": row.fv2018, "fv2019": row.fv2019,
+            "single_log": row.single_log, "moment_tail": row.moment_tail,
+            "quantile_ok": row.dominated, "sandwich_reps": sweep.reps,
+            "sandwich_violations": sweep.violations,
+            "sandwich_max_slack": sweep.max_slack,
+            "sandwich_ok": sweep.passed, "ok": row.dominated and sweep.passed}
 
 
 def _row_tails(point, cfg, seed):
@@ -224,19 +193,17 @@ def _row_tails(point, cfg, seed):
     moment = bd.moments_from_tail(a, b, p)
     tail = bd.tail_from_moments(a, b, delta)
     ok = bool(np.isfinite(moment) and np.isfinite(tail) and moment >= 0 and tail >= 0)
-    return [{"command": "tails", "provenance": "exact", "a": a, "b": b, "p": p,
-             "delta": delta, "moment_bound": moment, "tail_bound": tail, "ok": ok}]
+    return {"moment_bound": moment, "tail_bound": tail, "ok": ok}
 
 
-_EVALUATORS = {
-    "bounds": _row_bounds,
-    "chaos": _row_chaos,
-    "partition": _row_partition,
-    "learn": _row_learn,
-    "tails": _row_tails,
+# command: (grid keys, row evaluator, provenance)
+_COMMANDS = {
+    "bounds": (("n", "gamma", "L", "delta"), _row_bounds, "exact"),
+    "chaos": (("n", "M", "beta", "p"), _row_chaos, "exact"),
+    "partition": (("n", "M", "beta", "p"), _row_partition, "exact"),
+    "learn": (("learner", "n", "delta"), _row_learn, "montecarlo"),
+    "tails": (("a", "b", "p", "delta"), _row_tails, "exact"),
 }
-
-_STOCHASTIC = {"learn"}
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +211,14 @@ _STOCHASTIC = {"learn"}
 # ---------------------------------------------------------------------------
 
 def run(config: dict) -> tuple[list[dict], int]:
-    """Execute one experiment config; returns (rows, exit_code)."""
+    """Execute one experiment config; returns (rows, exit_code). There is at
+    least one row, since ``build_grid`` rejects an empty axis."""
     try:
         command = config.get("command")
-        if command not in _EVALUATORS:
-            raise ConfigError(f"unknown command {command!r}; have {sorted(_EVALUATORS)}")
-        if command in _STOCHASTIC:
+        if command not in _COMMANDS:
+            raise ConfigError(f"unknown command {command!r}; have {sorted(_COMMANDS)}")
+        keys, evaluator, provenance = _COMMANDS[command]
+        if provenance == "montecarlo":
             if "seed" not in config:
                 raise ConfigError(f"command {command!r} is stochastic and needs a seed")
             if int(config.get("reps", 0)) < 1000:
@@ -258,17 +227,17 @@ def run(config: dict) -> tuple[list[dict], int]:
         points = build_grid(command, grid)
         threads = _resolve_threads(config.get("threads", 0))
         seed = int(config.get("seed", 0))
-        evaluator = _EVALUATORS[command]
 
         def work(item):
             index, point = item
-            return evaluator(point, config, _mix_seed(seed, index))
+            return {"command": command, "provenance": provenance, **dict(zip(keys, point)),
+                    **evaluator(point, config, _mix_seed(seed, index))}
 
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                nested = list(pool.map(work, enumerate(points)))
+                rows = list(pool.map(work, enumerate(points)))
         else:
-            nested = [work(item) for item in enumerate(points)]
+            rows = [work(item) for item in enumerate(points)]
     except ConfigError:
         raise
     except (ValueError, IndexError) as exc:
@@ -276,7 +245,6 @@ def run(config: dict) -> tuple[list[dict], int]:
     except (ArithmeticError, MemoryError, RuntimeError) as exc:
         # a value left the float range, or the run ran out of memory or failed at run time
         raise ConfigError(f"{type(exc).__name__}: {exc}") from exc
-    rows = [row for group in nested for row in group]
     exit_code = 0 if all(row["ok"] for row in rows) else 2
     return rows, exit_code
 
@@ -307,9 +275,10 @@ def _json_value(value):
 
 
 def render(command: str, rows: list[dict], config: dict, fmt: str) -> str:
-    header = _HEADERS[command]
+    """The rows of one ``run`` as CSV or JSON; the header is the first row's keys."""
+    header = list(rows[0])
     provenance = None
-    if command in _STOCHASTIC:
+    if _COMMANDS[command][2] == "montecarlo":
         provenance = {"seed": int(config.get("seed", 0)),
                       "reps": int(config.get("reps", 0)),
                       "generator": GENERATOR_ID}
@@ -347,7 +316,7 @@ def build_config(argv: list[str]) -> dict:
     parser = _Parser(prog="stablebounds",
                      description="verification workbench for stability bounds")
     sub = parser.add_subparsers(dest="command")
-    for command, keys in _GRID_KEYS.items():
+    for command, (keys, _, _) in _COMMANDS.items():
         p = sub.add_parser(command, add_help=True)
         p.add_argument("--config", default=None)
         p.add_argument("--seed", type=int, default=None)
@@ -360,7 +329,7 @@ def build_config(argv: list[str]) -> dict:
                            help=f"comma-separated grid values for {key}")
     args = parser.parse_args(argv)
     if args.command is None:
-        raise ConfigError("a command is required (bounds|chaos|partition|learn|tails)")
+        raise ConfigError(f"a command is required ({'|'.join(_COMMANDS)})")
 
     config: dict = {}
     if args.config:
@@ -383,7 +352,7 @@ def build_config(argv: list[str]) -> dict:
         if value is not None:
             config[name] = value
     grid = dict(config.get("grid") or {})
-    for key in _GRID_KEYS[args.command]:
+    for key in _COMMANDS[args.command][0]:
         raw = getattr(args, key)
         if raw is not None:
             grid[key] = _split_tokens(raw)

@@ -218,6 +218,8 @@ def _replace_one(spec: LearnerSpec, dist: FiniteDistribution, idx: np.ndarray,
 
 
 def _check_n(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if n > _MAX_N:
         raise ValueError(f"n = {n} exceeds the sample size cap {_MAX_N}")
 
@@ -225,8 +227,7 @@ def _check_n(n: int) -> None:
 def _draws(dist: FiniteDistribution, n: int, reps: int, rng: np.random.Generator):
     """Support indices of ``reps`` seeded datasets as (rows, idx) blocks, idx
     of shape (n, len(rows)); the random stream of one ``dist.sample(rng, n)``
-    per dataset."""
-    _check_n(n)
+    per dataset; the caller has checked n."""
     k = len(dist.support)
     block = max(1, _BLOCK_CELLS // (n * k * k))
     probs = np.asarray(dist.probs)
@@ -317,6 +318,7 @@ def sandwich_sweep(spec: LearnerSpec, dist: FiniteDistribution, n: int,
     gamma defaults to the learner's analytic constant (``gamma_mode``
     "analytic"); a value passed in is reported as "given".
     """
+    _check_n(n)
     gamma_mode = "analytic" if gamma is None else "given"
     gamma = _gamma_or_analytic(spec, n, gamma)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
@@ -354,8 +356,6 @@ def estimate_gamma(spec: LearnerSpec, dist: FiniteDistribution, n: int,
     when exhaustive, from ``_losses`` in blocks of about ``_BLOCK_CELLS`` cells.
     Sampled trials read the array form in blocks too; a learner without one
     fits each drawn dataset and refits only its drawn replacement."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     _check_n(n)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -451,6 +451,7 @@ def correlation_check(spec: LearnerSpec, dist: FiniteDistribution, n: int,
         raise ValueError(f"reps must be >= 1000, got {reps}")
     if n < 2:
         raise ValueError(f"need n >= 2 for index pairs, got {n}")
+    _check_n(n)
     gamma = _gamma_or_analytic(spec, n, gamma)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     pair_count = min(n_pairs, n * (n - 1) // 2)
@@ -522,6 +523,7 @@ def gap_quantiles(spec: LearnerSpec, dist: FiniteDistribution, n: int,
     (M = L, beta = 2*gamma) to a deviation bound, adds the 2*gamma*n sandwich
     slack, and is capped at the trivial n*L.
     """
+    _check_n(n)
     if reps < 1000:
         raise ValueError(f"reps must be >= 1000, got {reps}")
     gamma = _gamma_or_analytic(spec, n, gamma)
@@ -552,6 +554,7 @@ def gap_quantiles(spec: LearnerSpec, dist: FiniteDistribution, n: int,
 def collect_gaps(spec: LearnerSpec, dist: FiniteDistribution, n: int,
                  reps: int, seed: int) -> np.ndarray:
     """Scaled gaps over ``reps`` seeded replicates (one fit each)."""
+    _check_n(n)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     out = np.empty(reps)
     for rows, idx in _draws(dist, n, reps, rng):

@@ -103,7 +103,7 @@ class MomentSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.p < 1:
+        if not self.p >= 1:
             raise ValueError(f"p must be >= 1, got {self.p}")
         if self.reps < 100:
             raise ValueError(f"montecarlo requires reps >= 100, got {self.reps}")
@@ -249,7 +249,7 @@ def lp_norm(values: np.ndarray, p: float, work: np.ndarray | None = None) -> flo
 
 def enumerate_lp(f: SignFunction, p: float) -> float:
     """Exact, range-safe (2^-n * sum_z |f(z)|^p)^(1/p) over the full hypercube."""
-    if p < 1:
+    if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p}")
     return _blocks_lp(lambda: _abs_blocks(f, writable=True), 1 << f.arity, p)
 
@@ -447,7 +447,7 @@ def mc_lp(f: SignFunction, spec: MomentSpec) -> MonteCarloNorm:
 
 def empirical_tail(f: SignFunction, t: float, reps: int = 100_000, seed: int = 0) -> float:
     """P(|f(Z)| >= t); exact by enumeration whenever the arity permits."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"threshold must be >= 0, got {t}")
     if f.arity <= ENUMERATION_CAP:
         hits = [float(np.count_nonzero(v >= t)) for v in _abs_blocks(f)]
@@ -472,7 +472,7 @@ def hitczenko_functional(a, p: float) -> float:
         raise ValueError("weights must be a non-empty 1-d sequence")
     if np.any(w < 0):
         raise ValueError("weights must be non-negative")
-    if p < 1:
+    if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p}")
     w = np.sort(w)[::-1]
     head = int(p)  # floor(p) largest weights
@@ -484,6 +484,6 @@ def latala_allones_estimate(n: int, p: float) -> float:
     off-diagonal quadratic form sum_{i != j} Z_i Z_j (shape constants)."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    if p < 1:
+    if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p}")
     return p * n + p * sqrt(n) + sqrt(p) * n

@@ -106,6 +106,15 @@ class TestConfigHandling:
         assert run_main(args) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_partition_checks_p_before_enumerating(self, monkeypatch, capsys):
+        def telescoping(params):
+            pytest.fail("verify_telescoping ran before p was checked")
+
+        monkeypatch.setattr("stablebounds.partition.verify_telescoping", telescoping)
+        assert run_main(["partition", "--n", "20", "--M", "1", "--beta", "1",
+                         "--p", "nan"]) == 1
+        assert capsys.readouterr().err == "error: p must be finite and >= 2, got nan\n"
+
     def test_unknown_learner(self):
         assert run_main(["learn", "--learner", "svm", "--n", "10",
                          "--delta", "0.1", "--reps", "1000", "--seed", "1"]) == 1
@@ -171,6 +180,45 @@ class TestRowValues:
         assert values["ok"] == "true"
 
 
+class TestHeaders:
+    HEADERS = {
+        "bounds": ("command,provenance,n,gamma,L,delta,bousquet02,fv2018,fv2019,"
+                   "single_log,ok", ["--n", "3,4", "--gamma", "1/n", "--L", "1",
+                                     "--delta", "0.1"]),
+        "chaos": ("command,provenance,n,M,beta,p,norm,dyadic_bound,dominance_ok,"
+                  "lower_ratio,lower_ok,pz_lhs,pz_rhs,pz_ok,second_moment,"
+                  "second_moment_bound,second_moment_ok,ok",
+                  ["--n", "4,8", "--M", "1", "--beta", "1", "--p", "2"]),
+        "partition": ("command,provenance,n,M,beta,p,telescope_dev,telescope_ok,"
+                      "term_violations,block_violations,level_violations,chain_ok,ok",
+                      ["--n", "3,4", "--M", "1", "--beta", "1", "--p", "2"]),
+        "learn": ("command,provenance,learner,n,delta,reps,seed,gamma,quantile,"
+                  "bousquet02,fv2018,fv2019,single_log,moment_tail,quantile_ok,"
+                  "sandwich_reps,sandwich_violations,sandwich_max_slack,sandwich_ok,ok",
+                  ["--learner", "constant", "--n", "4,5", "--delta", "0.1",
+                   "--reps", "1000", "--seed", "1"]),
+        "tails": ("command,provenance,a,b,p,delta,moment_bound,tail_bound,ok",
+                  ["--a", "1,2", "--b", "1", "--p", "2", "--delta", "0.1"]),
+    }
+
+    @pytest.mark.parametrize("command", HEADERS)
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_header_of_every_command(self, tmp_path, command, threads):
+        # the columns are command, provenance, the grid point, then the
+        # command's own results
+        header, args = self.HEADERS[command]
+        csv_out, json_out = tmp_path / "rows.csv", tmp_path / "rows.json"
+        args = [command, *args, "--threads", threads]
+        assert run_main(args + ["--out", csv_out]) == 0
+        lines = [line for line in csv_out.read_text().splitlines()
+                 if not line.startswith("#")]
+        assert lines[0] == header
+        assert run_main(args + ["--format", "json", "--out", json_out]) == 0
+        rows = json.loads(json_out.read_text())["rows"]
+        assert len(rows) == 2
+        assert all(list(row) == header.split(",") for row in rows)
+
+
 class TestExitCodes:
     def test_assertion_failure_returns_two(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -212,7 +260,8 @@ class TestExitCodes:
         def evaluator(point, cfg, seed):
             raise exc
 
-        monkeypatch.setitem(cli._EVALUATORS, "chaos", evaluator)
+        keys, _, provenance = cli._COMMANDS["chaos"]
+        monkeypatch.setitem(cli._COMMANDS, "chaos", (keys, evaluator, provenance))
         assert run_main(["chaos", "--n", "8", "--M", "1", "--beta", "1", "--p", "2",
                          "--out", tmp_path / "c.csv"]) == 1
         err = capsys.readouterr().err

@@ -384,6 +384,17 @@ class TestSampleSizeCap:
                 run()
         assert collect_gaps(spec, BERN, n=64, reps=10, seed=1).shape == (10,)
 
+    @pytest.mark.parametrize("run", [
+        lambda spec: collect_gaps(spec, BERN, n=0, reps=10, seed=1),
+        lambda spec: sandwich_sweep(spec, BERN, n=0, reps=10, seed=1),
+        lambda spec: gap_quantiles(spec, BERN, 0, 1000, [0.1], seed=1),
+        lambda spec: estimate_gamma(spec, BERN, n=0),
+    ], ids=["collect_gaps", "sandwich_sweep", "gap_quantiles", "estimate_gamma"])
+    def test_empty_sample_is_refused(self, run):
+        # n is checked first: the analytic gamma and the draw blocks divide by n
+        with pytest.raises(ValueError, match=r"n must be >= 1, got 0"):
+            run(clipped_mean_learner())
+
 
 class TestDeterminismGuard:
     def test_accepts_deterministic_learner(self):

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from stablebounds import oracle
+from stablebounds.bounds import classical_moment_bound
+from stablebounds.chaos import ChaosParams, tail_probability
 from stablebounds.oracle import (MomentSpec, SignFunction, _collapse_lp,
                                  _mc_values, _sign_columns, collapse_lp,
                                  constant_function, coordinate_function,
@@ -583,3 +585,19 @@ class TestSignMatrix:
         # blocks beyond that (TestEnumerateLp.test_streamed_path_beyond_cache)
         with pytest.raises(ValueError, match="cap"):
             sign_matrix(21)
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: enumerate_lp(sum_function(4), x),
+    lambda x: MomentSpec(p=x, reps=100),
+    lambda x: hitczenko_functional([1.0, 0.5], x),
+    lambda x: latala_allones_estimate(4, x),
+    lambda x: classical_moment_bound("mcdiarmid", n=4, p=x, beta=1.0),
+    lambda x: empirical_tail(sum_function(4), x),
+    lambda x: tail_probability(ChaosParams(4, 1, 1), x),
+], ids=["enumerate_lp", "MomentSpec", "hitczenko_functional", "latala_allones_estimate",
+        "classical_moment_bound", "empirical_tail", "tail_probability"])
+def test_nan_order_or_threshold_is_rejected(call):
+    # a NaN fails every comparison, so each check is written as `not x >= bound`
+    with pytest.raises(ValueError, match=r"must be >= \d, got nan"):
+        call(float("nan"))
