@@ -35,10 +35,21 @@ have the same real size at every level differ by a coordinate permutation,
 which permutes their deviation values, and a max does not depend on order:
 the telescoping check takes one index per class of sizes (1 at n = 16, at
 most 4 for n <= 20). Every level-0 term and block is +-beta/2 at each
-entry, and equal arrays have equal norms: one norm serves them all. Norms
-whose |v|^p leaves the float range are taken scaled by max|v|. A slow generic
-conditional-expectation path (nested enumeration) is kept as an independent
-cross-check of the verifiers' block sums.
+entry, and equal arrays have equal norms: one norm serves them all. The
+level-bounds check takes each block's rows over their period: z_j repeats
+every 2^(j+1) entries, so a block's sibling sum, terms and block sum repeat
+every 2^stop, stop the parent block's real end, and are built over
+max(2^stop, 128) entries (at most 2^n) of the four rows. Their norms are bit
+for bit those of the full rows, since numpy sums a contiguous float64 row of
+2^n as a pairwise tree of halves down to leaves of 128: the full sum is
+exact doublings of the period's, and the norm counts the period's sum
+2^n / period times before it divides by 2^n. Each level sum is built in
+block order, tiled up to each block's period before that block is added, so
+every entry sees the same adds in the same order; the level norms and the
+exact sum take full rows. Norms whose |v|^p leaves the float range are taken
+scaled by max|v|. A slow generic conditional-expectation path (nested
+enumeration) is kept as an independent cross-check of the verifiers' block
+sums.
 """
 
 from __future__ import annotations
@@ -51,10 +62,11 @@ import numpy as np
 
 from .bounds import dyadic_sum_moment_bound
 from .chaos import ChaosParams, chaos_collapsed
-from .oracle import SignFunction, _sign_columns, lp_norm, sign_matrix
+from .oracle import SignFunction, _blocks_lp, _sign_columns, lp_norm, sign_matrix
 
 _SQRT2 = sqrt(2.0)
 GENERIC_CAP = 12   # nested enumeration blows up past desk scale
+_LEAF_BITS = 7     # numpy's pairwise sum ends in leaves of 2**7 entries
 
 
 @dataclass(frozen=True)
@@ -256,6 +268,22 @@ class LevelBoundsReport:
                 and self.sum_norm <= self.chain_value <= self.chain_bound <= self.final_bound)
 
 
+def _tile(row: np.ndarray, filled: int, width: int) -> int:
+    """Repeat ``row[:filled]`` up to ``row[:width]`` (powers of two) by
+    doubling copies that never overlap, so numpy takes no temporary."""
+    while filled < width:
+        row[filled:2 * filled] = row[:filled]
+        filled *= 2
+    return filled
+
+
+def _period_lp(row: np.ndarray, p: float, n: int, work: np.ndarray) -> float:
+    """``lp_norm`` of ``row`` repeated to 2**n entries, from the one period
+    ``row`` (2**j >= 128 entries, or all 2**n), bit for bit."""
+    return _blocks_lp(lambda: (np.abs(row, out=work[:row.size]),), 1 << n, p,
+                      (1 << n) // row.size)
+
+
 def verify_level_bounds(params: ChaosParams, p: float) -> LevelBoundsReport:
     """Exact-norm check of every bound used by the telescoping argument.
 
@@ -277,7 +305,7 @@ def verify_level_bounds(params: ChaosParams, p: float) -> LevelBoundsReport:
         term_bound = 2.0 * sqrt(p * (1 << l)) * beta
         block_bound = 6.0 * _SQRT2 * p * (1 << l) * beta
         level_bound = 6.0 * _SQRT2 * p * tree.n_padded * beta
-        level_values.fill(0.0)
+        level_values[0], filled = 0.0, 1
         for block in tree.blocks(l):
             real = range(block.start, min(block.stop, n))
             sib = _sibling_sum(sums, block.start, l)
@@ -286,21 +314,32 @@ def verify_level_bounds(params: ChaosParams, p: float) -> LevelBoundsReport:
                 term_slacks.extend([term_bound] * len(real))
                 block_slacks.append(block_bound)
                 continue
+            # z_j repeats every 2**(j+1) entries, so the rows of this block and
+            # its sibling repeat every 2**stop, stop the parent block's real
+            # end; they are taken over one such period of at least 128
+            stop = ((block.start >> (l + 1)) + 1) << (l + 1)
+            width = 1 << min(max(stop, _LEAF_BITS), n)
+            hs, bv, tmp = half_sib[:width], block_values[:width], work[:width]
             # term_i = z_i * (beta/2) * sib and |z_i| = 1, so every term of
             # the block has the norm of (beta/2) * sib
-            np.multiply(half_beta, sib, out=half_sib)
-            block_values.fill(0.0)
+            np.multiply(half_beta, sib[:width], out=hs)
+            bv.fill(0.0)
             for i in real:
-                block_values += np.multiply(sums[0][i], half_sib, out=work)
+                bv += np.multiply(sums[0][i][:width], hs, out=tmp)
             if l == 0:      # every level-0 term and block is +-beta/2 at each entry
-                norm0 = lp_norm(half_sib, p, work) if norm0 is None else norm0
+                norm0 = _period_lp(hs, p, n, work) if norm0 is None else norm0
                 term_norm = block_norm = norm0
             else:
-                term_norm = lp_norm(half_sib, p, work)
-                block_norm = lp_norm(block_values, p, work)
+                term_norm = _period_lp(hs, p, n, work)
+                block_norm = _period_lp(bv, p, n, work)
             term_slacks.extend([term_bound - term_norm] * len(real))
             block_slacks.append(block_bound - block_norm)
-            level_values += block_values
+            # every block so far repeats within ``filled``: tiled, each entry
+            # of the level sum sees the adds of the full rows, in their order
+            filled = _tile(level_values, filled, width)
+            lv = level_values[:width]
+            lv += bv
+        _tile(level_values, filled, 1 << n)
         level_norms.append(lp_norm(level_values, p, work))
         level_slacks.append(level_bound - level_norms[-1])
 

@@ -255,6 +255,13 @@ class TestExitCodes:
         assert err.startswith("error: OverflowError")
         assert "Traceback" not in err
 
+    def test_non_finite_g_is_error_line_alone(self, tmp_path, capsys):
+        # M*s overflows in g on the support of S; the error line is all of stderr
+        args = ["chaos", "--n", "2", "--M", "1e308", "--beta", "1e308", "--p", "64"]
+        assert run_main(args + ["--out", tmp_path / "c.csv"]) == 1
+        assert capsys.readouterr().err == (
+            "error: g produced non-finite values on the support of S\n")
+
     @pytest.mark.parametrize("exc", [MemoryError("no room"), RuntimeError("gave out")])
     def test_memory_and_runtime_errors_are_error_exit(self, tmp_path, capsys, monkeypatch, exc):
         def evaluator(point, cfg, seed):

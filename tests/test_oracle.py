@@ -15,7 +15,7 @@ from scipy.special import gammaln
 from stablebounds import oracle
 from stablebounds.bounds import classical_moment_bound
 from stablebounds.chaos import ChaosParams, tail_probability
-from stablebounds.oracle import (MomentSpec, SignFunction, _collapse_lp,
+from stablebounds.oracle import (MomentSpec, SignFunction, _blocks_lp, _collapse_lp,
                                  _mc_values, _sign_columns, collapse_lp,
                                  constant_function, coordinate_function,
                                  empirical_tail, enumerate_lp,
@@ -343,6 +343,29 @@ class TestLpNormScratch:
         assert value == pytest.approx(top * np.mean((v / top) ** 1000) ** 1e-3, rel=1e-12)
 
 
+class TestRepeatedBlock:
+    """A block with ``repeat`` K stands for K copies of it side by side, bit
+    for bit: numpy sums a contiguous float64 row as a pairwise tree of halves
+    down to leaves of 128. The partition verifiers take their periodic rows
+    this way, so a numpy that sums otherwise fails here first."""
+
+    @pytest.mark.parametrize("bits", range(7, 13))
+    @pytest.mark.parametrize("repeat", [2, 8, 64])
+    @pytest.mark.parametrize("scale,p", [
+        (7.0, 3.5),         # plain
+        (10.0, 1e4),        # |v|^p overflows: the scaled pass
+        (1e-3, 1e3),        # |v|^p underflows: the scaled pass
+    ], ids=["plain", "overflow", "underflow"])
+    def test_equals_the_tiled_row(self, bits, repeat, scale, p):
+        v = scale * (1.0 + np.random.default_rng(bits).random(1 << bits))
+        row = np.tile(v, repeat)
+        with np.errstate(over="ignore", under="ignore"):
+            powered = float(np.sum(row ** p))
+        assert (0 < powered < np.inf) == (p < 100)     # which pass is held
+        value = _blocks_lp(lambda: (v.copy(),), row.size, p, repeat)
+        assert value == lp_norm(row, p)
+
+
 class TestCollapseCap:
     """Every array over the support of S is capped in n before it is built."""
 
@@ -512,6 +535,12 @@ class TestHitczenkoFunctional:
     def test_rejects_negative_weights(self):
         with pytest.raises(ValueError, match="non-negative"):
             hitczenko_functional([1, -1], 2)
+
+    def test_infinite_p_is_the_limit_of_large_p(self):
+        # every finite p >= len(a) takes all weights in the head
+        for a in ([1.0, 0.5], [0.1, 0.7, 0.2, 0.3, 1e-17]):
+            limit = hitczenko_functional(a, math.inf)
+            assert limit == hitczenko_functional(a, len(a)) == hitczenko_functional(a, 1e300)
 
     def test_unsorted_input_is_sorted_internally(self):
         assert hitczenko_functional([1, 3, 2], 1) == hitczenko_functional([3, 2, 1], 1)

@@ -388,3 +388,53 @@ class TestSymmetryReductions:
         norm = norms.pop()
         assert report.terms.min_slack == 2.0 * math.sqrt(p) * beta - norm
         assert report.blocks.min_slack == 6.0 * math.sqrt(2.0) * p * beta - norm
+
+
+class TestPeriodRows:
+    """``verify_level_bounds`` takes each block's rows over one period, at
+    least 128 entries, and their norms with a repeat factor. Held here with
+    ``==``, norm for norm, to the full-row loop it replaces, written out from
+    the enumeration: around the 128-entry floor (n = 7, 8) and above the
+    golden grid (n = 17..19)."""
+
+    @pytest.mark.parametrize("n", [7, 8, 17, 18, 19])
+    @pytest.mark.parametrize("M,beta", [(1.0, 1.0), (0.1, 0.3)])
+    def test_norms_equal_the_full_row_loop(self, monkeypatch, n, M, beta):
+        orders = (2.0, 3.5)
+        expected = {p: [] for p in orders}
+        tree, sums = _enumerated(n)
+        for l in range(tree.k):
+            level = np.zeros(1 << n)
+            for block in tree.blocks(l):
+                sib = _sibling_sum(sums, block.start, l)
+                if block.start >= n or sib is None:
+                    continue
+                half_sib = 0.5 * beta * sib
+                values = np.zeros(1 << n)
+                for i in range(block.start, min(block.stop, n)):
+                    values += sums[0][i] * half_sib
+                for p in orders:
+                    if l > 0 or not expected[p]:    # one level-0 norm serves every block
+                        expected[p].append(lp_norm(half_sib, p))
+                    if l > 0:
+                        expected[p].append(lp_norm(values, p))
+                level += values
+            for p in orders:
+                expected[p].append(lp_norm(level, p))
+
+        taken = []
+
+        def recorded(norm):
+            def call(*args):
+                taken.append(norm(*args))
+                return taken[-1]
+            return call
+
+        monkeypatch.setattr(partition, "lp_norm", recorded(partition.lp_norm))
+        monkeypatch.setattr(partition, "_period_lp", recorded(partition._period_lp))
+        for p in orders:
+            taken.clear()
+            verify_level_bounds(ChaosParams(n, M, beta), p)
+            # then the sum norm and ||S||_p, from full rows
+            assert taken[:-2] == expected[p]
+            assert len(taken) == len(expected[p]) + 2
