@@ -124,6 +124,8 @@ def chaos_collapsed(params: ChaosParams):
     return _memo(_collapsed, params.n, params.M, params.beta)
 
 
+# A closure, not a value-equal object, so the memo stays: bench/tracer.py keys
+# each traced collapse on ``g.__closure__`` (``_collapse_key``).
 @lru_cache(maxsize=256)
 def _collapsed(n, M, beta):
     def chaos_sum(s, out=None, scratch=None):

@@ -8,22 +8,19 @@ that are kept deliberately independent of each other:
 * ``collapse_lp``  -- exact binomial weights for functions that factor
   through the coordinate sum S = sum(Z_i), usable at any n up to
   ``_COLLAPSE_CAP`` (the arrays over the support of S hold about 41 B per
-  unit of n: a ``chaos`` run peaks at 688 MB at the cap);
+  unit of n);
 * ``mc_lp``        -- seeded, scheduling-independent Monte Carlo; a
   ``MomentSpec`` describes only such a run.
 
-Every check sweeps the moment order p, and what does not depend on p is
-built once per function, in one-entry caches below the public calls (each
-call still makes its public ``sign_matrix`` call):
-
-* the collapse keeps one support record, keyed by (g, n): |g| and log|g| over
-  the support of S and the binomial weights and their logs, four float64
-  arrays of n + 1, so each p takes one multiply-add, a sort and a reduction.
-  ``chaos.tail_probability`` reads |g| and the weights from the same record,
-  and a record of a new g at the same n takes over the weights;
-* the enumeration keeps the |f| blocks of the last hashable function of
-  arity n <= 20 (2**n floats, 8 MB at n = 20), read-only; each p raises a
-  copy. Above n = 20 the blocks are streamed, as they were.
+Every check sweeps the moment order p, so what does not depend on p is built
+once, below the public calls (each call still makes its public
+``sign_matrix`` call). One rule covers every cache: a one-entry record of
+arrays (the |f| blocks up to n = 20, the collapse's support record and
+binomial law, the partition's block sums) is a ``_last``, which drops the
+held value before it builds the next; a memo of floats or closures is a
+bounded ``lru_cache``, through ``_memo`` where its key may be unhashable.
+Neither holds an unhashable key or an error, held arrays are read-only, and
+a race between pool threads costs a rebuild, never a wrong value.
 
 {-1,+1}^n is cached once per n <= 20 as a read-only int8 array (n, 2**n),
 z_i as row i; ``sign_matrix`` is its transpose. The partition verifiers (n <= 20)
@@ -36,11 +33,9 @@ length reuses one row and never has its input written.
 
 The log binomial weights come from ``_lgam``, a numpy port of cephes
 ``lgam`` at integer x, bit for bit scipy's ``gammaln``, so no scipy submodule
-is loaded at run time (``scipy.special`` took about 0.3 s and 24 MB of every
-import). It takes log x from ``math.log``, libm's log as in cephes, since
-numpy's SIMD log differs from it in the last bit at some integers. The
-weights cost about 180 ns per unit of n, against about 40 ns with
-``gammaln``; above n of about 2e6 that costs more than the import saved.
+is loaded at run time. It takes log x from ``math.log``, libm's log as in
+cephes, since numpy's SIMD log differs from it in the last bit at some
+integers.
 
 Also provides the two reference moment functionals for weighted Rademacher
 sums (Hitczenko) and for the all-ones off-diagonal Rademacher quadratic form
@@ -145,6 +140,40 @@ def weighted_sum_function(weights) -> SignFunction:
     return SignFunction(len(w), lambda rows: rows @ w, "weighted_sum")
 
 
+def _hashable(key) -> bool:
+    try:
+        hash(key)
+    except TypeError:
+        return False
+    return True
+
+
+def _memo(cached, *key):
+    """``cached(*key)``, or its uncached ``__wrapped__`` where the key is not
+    hashable, so every argument the uncached function accepts stays accepted."""
+    return cached(*key) if _hashable(key) else cached.__wrapped__(*key)
+
+
+def _last(build):
+    """A one-entry cache of ``build``, keyed by the call's arguments. A miss
+    drops the held value before it builds the next, so one is alive at a
+    time; unhashable arguments and a build that raises leave nothing held.
+    ``held`` is one ``(key, value)`` tuple, published whole: no lock."""
+    def cached(*key):
+        if not _hashable(key):
+            return build(*key)
+        held = cached.held
+        if held is not None and held[0] == key:
+            return held[1]
+        cached.held = held = None
+        value = build(*key)
+        cached.held = (key, value)
+        return value
+
+    cached.held = None
+    return cached
+
+
 @lru_cache(maxsize=4)
 def _sign_columns(n: int) -> np.ndarray:
     """{-1,+1}^n coordinate-major: row i is z_i over the 2**n lexicographic
@@ -167,34 +196,20 @@ def _abs_eval(f: SignFunction, rows: np.ndarray) -> np.ndarray:
     return np.abs(np.asarray(f.eval(rows), dtype=np.float64))
 
 
-_last_abs = None    # (f, its |f| blocks) of the last function enumerated up to _CACHED_ARITY
-
-
 def _abs_blocks(f: SignFunction, writable: bool = False):
     """|f| over {-1,+1}^n in lexicographic blocks of 2**min(n, 16) rows: low
     coordinates from ``sign_matrix``, high ones the bits of the block number.
 
-    Up to ``_CACHED_ARITY`` the blocks of the last function enumerated are
-    kept read-only in a one-entry cache keyed by ``f`` (2**n floats, 8 MB at
-    n = 20), so the orders p of one f evaluate it once; ``writable`` yields
-    copies. Above that, and for an unhashable f, the blocks are evaluated
-    afresh. Every call takes ``sign_matrix`` once, hit or miss."""
-    global _last_abs
+    Up to ``_CACHED_ARITY`` the blocks come from ``_held_abs``, so the orders
+    p of one f evaluate it once; ``writable`` yields copies. Above that they
+    are evaluated afresh. Every call takes ``sign_matrix`` once, hit or miss."""
     n = f.arity
     if n > ENUMERATION_CAP:
         raise ValueError(f"arity {n} exceeds enumeration cap {ENUMERATION_CAP}")
     low_rows = sign_matrix(min(n, _BLOCK_ARITY))
-    if n > _CACHED_ARITY or not _hashable(f):
+    if n > _CACHED_ARITY:
         return _evaluated_blocks(f, low_rows)
-    last = _last_abs
-    if last is not None and last[0] == f:
-        blocks = last[1]
-    else:
-        last = _last_abs = None         # freed before the next is built
-        blocks = tuple(_evaluated_blocks(f, low_rows))
-        for v in blocks:
-            v.flags.writeable = False
-        _last_abs = (f, blocks)
+    blocks = _held_abs(f)
     return (v.copy() for v in blocks) if writable else iter(blocks)
 
 
@@ -205,6 +220,17 @@ def _evaluated_blocks(f: SignFunction, low_rows: np.ndarray):
         rows[:, :low] = low_rows
         rows[:, low:] = 2 * ((b >> np.arange(n - low)) & 1) - 1
         yield _abs_eval(f, rows)
+
+
+@_last
+def _held_abs(f: SignFunction) -> tuple:
+    """The read-only |f| blocks of ``_abs_blocks`` for n <= ``_CACHED_ARITY``
+    (2**n floats, 8 MB at n = 20), from the private ``_sign_columns``, so a
+    miss adds no public ``sign_matrix`` call."""
+    blocks = tuple(_evaluated_blocks(f, _sign_columns(min(f.arity, _BLOCK_ARITY)).T))
+    for v in blocks:
+        v.flags.writeable = False
+    return blocks
 
 
 def _pairwise_sum(parts: list[float]) -> float:
@@ -311,20 +337,6 @@ def log_binomial_weights(n: int) -> np.ndarray:
     return w
 
 
-def _hashable(key) -> bool:
-    try:
-        hash(key)
-    except TypeError:
-        return False
-    return True
-
-
-def _memo(cached, *key):
-    """``cached(*key)``, or its uncached ``__wrapped__`` where the key is not
-    hashable, so every argument the uncached function accepts stays accepted."""
-    return cached(*key) if _hashable(key) else cached.__wrapped__(*key)
-
-
 def collapse_lp(g: Callable[[np.ndarray], np.ndarray], n: int, p: float) -> float:
     """Exact L_p norm of g(S), S = sum of n independent signs.
 
@@ -345,24 +357,27 @@ def collapse_lp(g: Callable[[np.ndarray], np.ndarray], n: int, p: float) -> floa
     return _memo(_collapse_lp, g, n, p)
 
 
+@_last
+def _law(n: int) -> tuple:
+    """log P(S = s), P(S = s) and the sum of the latter over the support of S,
+    read-only, shared by the support records of one n."""
+    logw = log_binomial_weights(n)
+    weights = np.exp(logw)
+    weights.flags.writeable = False
+    return logw, weights, weights.sum()
+
+
 class _Support:
     """What every order p of one collapse reads, built once per (g, n), read-only.
 
     ``vals`` is |g| over the support {-n, -n+2, ..., n} of S and ``logv`` its
-    log (-inf where g = 0); ``logw``, ``weights`` and ``total`` are log P(S =
-    s), P(S = s) and the sum of the latter. They depend on n alone, so a
-    record of the same n passes them on (``law``). Four float64 arrays of
-    n + 1 in all.
+    log (-inf where g = 0); ``logw``, ``weights`` and ``total`` are the
+    ``_law`` of n. Four float64 arrays of n + 1 in all.
     """
 
-    def __init__(self, g, n, law=None):
+    def __init__(self, g, n):
         self.g, self.n = g, n
-        if law is None:
-            logw = log_binomial_weights(n)
-            weights = np.exp(logw)
-            weights.flags.writeable = False
-            law = logw, weights, weights.sum()
-        self.logw, self.weights, self.total = law
+        self.logw, self.weights, self.total = _law(n)
         with np.errstate(over="ignore", invalid="ignore"):     # caught by ``finite`` below
             self.vals = np.abs(np.asarray(g(2.0 * np.arange(n + 1) - n), dtype=np.float64))
         self.vals.flags.writeable = False
@@ -372,29 +387,8 @@ class _Support:
                 self.logv = np.log(self.vals)
             self.logv.flags.writeable = False
 
-    @property
-    def law(self) -> tuple:
-        return self.logw, self.weights, self.total
 
-
-_last_support = None    # the _Support of the last hashable g collapsed
-
-
-def _support(g, n) -> _Support:
-    """The support record of (g, n) from a one-entry cache, so one record of
-    O(n) is held; an unhashable g gets a record of its own. Records are never
-    written once built, so pool threads need no lock: a race between two of
-    them costs a rebuild, not a wrong record."""
-    global _last_support
-    if not _hashable(g):
-        return _Support(g, n)
-    last = _last_support
-    if last is not None and last.n == n and last.g == g:
-        return last
-    law = last.law if last is not None and last.n == n else None
-    last = _last_support = None         # |g| of the last is freed before the next is built
-    sup = _last_support = _Support(g, n, law)
-    return sup
+_support = _last(_Support)      # one record of O(n) held, the last (g, n) collapsed
 
 
 @lru_cache(maxsize=256)
@@ -410,7 +404,7 @@ def _support_lp(sup: _Support, p) -> float:
         terms += sup.logw
     top = sup.vals.max() if p > 1e305 else 0.0     # p * log|g| is in range below (|log v| < 745)
     if top > 0 and not np.isfinite(terms[np.argmax(sup.vals)]):    # max|g| * ||g / max|g|||,
-        scaled = _Support(lambda s: sup.g(s) / top, sup.n, sup.law)  # a record of its own
+        scaled = _Support(lambda s: sup.g(s) / top, sup.n)  # a record of its own
         return float(top * _support_lp(scaled, p))
     # a zero outcome (log 0) or an underflowed term is -inf, and
     # logaddexp(a, -inf) = a exactly, so such terms change no bit of the sum

@@ -62,7 +62,7 @@ import numpy as np
 
 from .bounds import dyadic_sum_moment_bound
 from .chaos import ChaosParams, chaos_collapsed
-from .oracle import SignFunction, _blocks_lp, _sign_columns, lp_norm, sign_matrix
+from .oracle import SignFunction, _blocks_lp, _last, _sign_columns, lp_norm, sign_matrix
 
 _SQRT2 = sqrt(2.0)
 GENERIC_CAP = 12   # nested enumeration blows up past desk scale
@@ -168,7 +168,7 @@ def _enumerated(n: int):
     return tree, [sign_matrix(n).T, *_upper_sums(n)]
 
 
-@lru_cache(maxsize=1)
+@_last
 def _upper_sums(n: int) -> tuple:
     """Levels 1..k of the block sums, from the private ``_sign_columns``, so
     that building them adds no public ``sign_matrix`` call."""

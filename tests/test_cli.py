@@ -15,7 +15,7 @@ from stablebounds import cli, oracle
 from stablebounds.chaos import _collapsed
 from stablebounds.cli import ConfigError, main, run
 from stablebounds.oracle import _collapse_lp
-from stablebounds.partition import _telescoping_deviation
+from stablebounds.partition import _telescoping_deviation, _upper_sums
 
 DATA = Path(__file__).parent / "data"
 
@@ -354,7 +354,7 @@ class TestDeterminism:
     ])
     @pytest.mark.parametrize("threads", ["2", "3"])
     def test_cold_shared_caches_thread_independent(self, tmp_path, args, threads):
-        # two pool threads share the one-entry collapse record and the
+        # two pool threads share every one-entry record (``_last``) and the
         # memoized norms and telescoping reports, each emptied first; a short
         # switch interval makes them replace each other's record mid-row
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -362,7 +362,8 @@ class TestDeterminism:
         _collapse_lp.cache_clear()
         _collapsed.cache_clear()
         _telescoping_deviation.cache_clear()
-        oracle._last_support = None
+        for last in (oracle._held_abs, oracle._support, oracle._law, _upper_sums):
+            last.held = None
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:

@@ -15,7 +15,7 @@ from scipy.special import gammaln
 from stablebounds import oracle
 from stablebounds.bounds import classical_moment_bound
 from stablebounds.chaos import ChaosParams, tail_probability
-from stablebounds.oracle import (MomentSpec, SignFunction, _blocks_lp, _collapse_lp,
+from stablebounds.oracle import (MomentSpec, SignFunction, _blocks_lp, _collapse_lp, _last,
                                  _mc_values, _sign_columns, collapse_lp,
                                  constant_function, coordinate_function,
                                  empirical_tail, enumerate_lp,
@@ -152,6 +152,54 @@ def counted(n, fn):
     return SignFunction(n, evaluate), calls
 
 
+class TestLastEntry:
+    """``_last`` holds one value: a miss drops the held value before it builds
+    the next, and nothing unhashable or failed is held."""
+
+    ROW = 8 << 16
+
+    def test_second_miss_holds_one_value(self):
+        # a cache that drops the old value only after the new one is built,
+        # as lru_cache(maxsize=1) does, peaks at two rows here
+        row = _last(lambda c: np.full(self.ROW // 8, c))
+        tracemalloc.start()
+        try:
+            row(1.0)
+            tracemalloc.reset_peak()
+            row(2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert self.ROW <= peak < 1.5 * self.ROW
+
+    def test_hit_returns_the_held_object(self):
+        builds = []
+        row = _last(lambda c: builds.append(c) or np.full(4, c))
+        first = row(1.0)
+        assert row(1.0) is first and builds == [1.0]
+        assert row.held == ((1.0,), first)
+
+    def test_unhashable_key_is_built_fresh(self):
+        row = _last(lambda c: np.full(4, c[0]))
+        held = row((1.0,))
+        assert np.array_equal(row([2.0]), np.full(4, 2.0))
+        assert np.array_equal(row([2.0]), np.full(4, 2.0))
+        assert row.held == (((1.0,),), held)
+        assert row((1.0,)) is held
+
+    def test_failed_build_holds_nothing(self):
+        def build(c):
+            if c < 0:
+                raise ValueError("negative")
+            return np.full(4, c)
+
+        row = _last(build)
+        row(1.0)
+        with pytest.raises(ValueError, match="negative"):
+            row(-1.0)
+        assert row.held is None
+
+
 class TestAbsCache:
     """Up to n = 20, |f| of the last function enumerated is kept across orders p."""
 
@@ -179,13 +227,13 @@ class TestAbsCache:
         enumerate_lp(f, 2)
         enumerate_lp(f, 3)
         assert calls == [1 << 16] * 64              # 32 blocks per call
-        assert oracle._last_abs is None or oracle._last_abs[0] != f
+        assert oracle._held_abs.held is None or oracle._held_abs.held[0] != (f,)
 
     def test_cached_blocks_are_read_only(self):
         f = sum_function(9)
         before = enumerate_lp(f, 3)
-        blocks = oracle._last_abs[1]
-        assert oracle._last_abs[0] == f
+        key, blocks = oracle._held_abs.held
+        assert key == (f,)
         assert all(not v.flags.writeable for v in blocks)
         assert enumerate_lp(f, 3) == before         # the powers went to copies
 
@@ -284,7 +332,7 @@ class TestCollapseMemo:
         g = lambda s: 1e10 * s
         assert collapse_lp(g, 4, 1e308) == 4e10
         assert _collapse_lp.cache_info().currsize == 1
-        assert oracle._last_support.g is g          # nor its support record
+        assert oracle._support.held[1].g is g       # nor its support record
 
     def test_unhashable_callable_is_computed(self):
         class Scaled:
