@@ -134,10 +134,14 @@ def dyadic_sum_moment_bound(p: float, n: int, beta: float, M: float) -> BoundVal
 
     Explicit constants.
     """
-    if p < 2:
+    if not p >= 2:
         raise ValueError(f"p must be >= 2, got {p}")
     _require_nonneg(beta=beta, M=M)
-    value = 12 * _SQRT2 * p * n * beta * ceil_log2(n) + 4 * M * sqrt(p * n)
+    value = (12 * _SQRT2 * p * n * beta * ceil_log2(n)
+             + (4 * M * sqrt(p * n) if M else 0.0))    # not 0 * inf once p * n overflows
+    if not isfinite(value):
+        raise ValueError(f"the dyadic sum bound overflows at p = {p}, n = {n}, "
+                         f"beta = {beta}, M = {M}")
     return BoundValue(kind="dyadic", value=value, constant_convention=EXPLICIT)
 
 

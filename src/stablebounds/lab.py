@@ -34,6 +34,7 @@ import numpy as np
 
 from .bounds import (BoundInputs, ceil_log2, generalization_bound,
                      tail_from_moments, variance_bound)
+from .oracle import _check_seed
 
 Predictor = Callable[[object], object]
 
@@ -106,7 +107,7 @@ class LearnerSpec:
     batch_losses: Callable[[np.ndarray, FiniteDistribution, bool], tuple] | None = None
 
     def __post_init__(self):
-        if self.loss_bound < 0:
+        if not self.loss_bound >= 0:
             raise ValueError(f"loss_bound must be >= 0, got {self.loss_bound}")
 
 
@@ -224,6 +225,12 @@ def _check_n(n: int) -> None:
         raise ValueError(f"n = {n} exceeds the sample size cap {_MAX_N}")
 
 
+def _philox(seed: int) -> np.random.Generator:
+    """The seeded stream of a lab driver."""
+    _check_seed(seed)
+    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+
+
 def _draws(dist: FiniteDistribution, n: int, reps: int, rng: np.random.Generator):
     """Support indices of ``reps`` seeded datasets as (rows, idx) blocks, idx
     of shape (n, len(rows)); the random stream of one ``dist.sample(rng, n)``
@@ -321,7 +328,7 @@ def sandwich_sweep(spec: LearnerSpec, dist: FiniteDistribution, n: int,
     _check_n(n)
     gamma_mode = "analytic" if gamma is None else "given"
     gamma = _gamma_or_analytic(spec, n, gamma)
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = _philox(seed)
     bound = 2.0 * gamma * n
     slack = np.empty(reps)
     for rows, idx in _draws(dist, n, reps, rng):
@@ -378,7 +385,7 @@ def estimate_gamma(spec: LearnerSpec, dist: FiniteDistribution, n: int,
             worst = max(worst, float(np.where(skip, 0.0, np.abs(moved - base)).max()))
         return GammaEstimate(value=worst, mode="exhaustive",
                              evaluations=n * k ** n * int(np.count_nonzero(~same)))
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = _philox(seed)
     probs = np.asarray(dist.probs)
     for start in range(0, trials, block):
         draws = np.empty((min(block, trials - start), n + 3), dtype=np.intp)
@@ -453,7 +460,7 @@ def correlation_check(spec: LearnerSpec, dist: FiniteDistribution, n: int,
         raise ValueError(f"need n >= 2 for index pairs, got {n}")
     _check_n(n)
     gamma = _gamma_or_analytic(spec, n, gamma)
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = _philox(seed)
     pair_count = min(n_pairs, n * (n - 1) // 2)
     pairs = set()
     while len(pairs) < pair_count:
@@ -555,7 +562,7 @@ def collect_gaps(spec: LearnerSpec, dist: FiniteDistribution, n: int,
                  reps: int, seed: int) -> np.ndarray:
     """Scaled gaps over ``reps`` seeded replicates (one fit each)."""
     _check_n(n)
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = _philox(seed)
     out = np.empty(reps)
     for rows, idx in _draws(dist, n, reps, rng):
         out[rows] = _replace_one(spec, dist, idx, refits=False)[0]
@@ -567,7 +574,7 @@ def check_deterministic(spec: LearnerSpec, dist: FiniteDistribution, n: int,
     """Reject randomized rules: two fits of the same data must agree on the
     whole support."""
     _check_n(n)
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = _philox(seed)
     ds = dist.sample(rng, n)
     h1, h2 = spec.fit(ds), spec.fit(ds)
     for e in dist.support:
@@ -690,7 +697,7 @@ def clipped_mean_learner() -> LearnerSpec:
 def shrunk_mean_learner(lam: float = 1.0) -> LearnerSpec:
     """Ridge-style shrunk mean, mean/(1+lam) clipped to [0,1];
     gamma = 1/(n*(1+lam))."""
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
     return _mean_learner("shrunk_mean", lam=lam)
 

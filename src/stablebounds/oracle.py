@@ -23,9 +23,9 @@ Neither holds an unhashable key or an error, held arrays are read-only, and
 a race between pool threads costs a rebuild, never a wrong value.
 
 {-1,+1}^n is cached once per n <= 20 as a read-only int8 array (n, 2**n),
-z_i as row i; ``sign_matrix`` is its transpose. The partition verifiers (n <= 20)
-and the chaos hypotheses (n - 1 coordinates, n <= 21) read it in place, and
-the enumeration copies ``sign_matrix(min(n, 16))`` into every block.
+z_i as row i; ``sign_matrix`` is its transpose. The partition's level bounds
+(n <= 20) and the chaos hypotheses (n - 1 coordinates, n <= 21) read it in
+place, and the enumeration copies ``sign_matrix(min(n, 16))`` into every block.
 
 ``lp_norm`` takes |v| into an optional float64 scratch row and raises it
 there in place (``v **= p``), so a caller that takes many norms of one
@@ -102,6 +102,13 @@ class MomentSpec:
             raise ValueError(f"p must be >= 1, got {self.p}")
         if self.reps < 100:
             raise ValueError(f"montecarlo requires reps >= 100, got {self.reps}")
+        _check_seed(self.seed)
+
+
+def _check_seed(seed: int) -> None:
+    """A Philox key is a uint64."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
 
 
 @dataclass(frozen=True)
@@ -458,6 +465,7 @@ def empirical_tail(f: SignFunction, t: float, reps: int = 100_000, seed: int = 0
         return _pairwise_sum(hits) / (1 << f.arity)
     if reps < 100:
         raise ValueError(f"reps must be >= 100, got {reps}")
+    _check_seed(seed)
     vals = _mc_values(f, reps, seed)
     return float(np.count_nonzero(vals >= t)) / reps
 
@@ -475,7 +483,7 @@ def hitczenko_functional(a, p: float) -> float:
     w = np.asarray(a, dtype=np.float64)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("weights must be a non-empty 1-d sequence")
-    if np.any(w < 0):
+    if not np.all(w >= 0):
         raise ValueError("weights must be non-negative")
     if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p}")

@@ -22,40 +22,32 @@ assembled chain against the dyadic sum moment bound. The enumeration is
 coordinate-major: each block sum over all 2^n sign vectors is one contiguous
 row (z_i itself at level 0), and blocks of padding alone are not stored.
 Block sums are small integers held as int8: level 0 is the cached sign
-matrix, and the levels above are built once per n and shared read-only by
-both verifiers. Each verifier call allocates four float64 work rows of 2^n
-and writes every elementwise step into them, the closed form of sum_i g_i
-included, so its memory does not grow with the number of terms. The
-telescoping check takes no p: its worst deviation is memoized per
-(n, M, beta/2), a float per key, and the rows of a grid over p compute it
-once. Every term of a block has the same norm,
-(beta/2)*||sibling sum||_p, since |z_i| = 1. The family's symmetry makes
-more work equal, and each is done once. Two indices whose sibling blocks
-have the same real size at every level differ by a coordinate permutation,
-which permutes their deviation values, and a max does not depend on order:
-the telescoping check takes one index per class of sizes (1 at n = 16, at
-most 4 for n <= 20). Every level-0 term and block is +-beta/2 at each
-entry, and equal arrays have equal norms: one norm serves them all. The
-level-bounds check takes each block's rows over their period: z_j repeats
-every 2^(j+1) entries, so a block's sibling sum, terms and block sum repeat
-every 2^stop, stop the parent block's real end, and are built over
-max(2^stop, 128) entries (at most 2^n) of the four rows. Their norms are bit
-for bit those of the full rows, since numpy sums a contiguous float64 row of
-2^n as a pairwise tree of halves down to leaves of 128: the full sum is
-exact doublings of the period's, and the norm counts the period's sum
-2^n / period times before it divides by 2^n. Each level sum is built in
-block order, tiled up to each block's period before that block is added, so
-every entry sees the same adds in the same order; the level norms and the
-exact sum take full rows. Norms whose |v|^p leaves the float range are taken
-scaled by max|v|. A slow generic conditional-expectation path (nested
-enumeration) is kept as an independent cross-check of the verifiers' block
-sums.
+matrix, and the levels above are built once per n and shared read-only.
+
+The level-bounds check writes every elementwise step into four float64 work
+rows of 2^n per call, the closed form of sum_i g_i included. Every term of a
+block has the same norm, (beta/2)*||sibling sum||_p, since |z_i| = 1, and
+every level-0 term and block is +-beta/2 at each entry, so one norm serves
+them all. Each block's rows are taken over their period, with norms bit for
+bit those of the full rows (README states why). Norms whose |v|^p leaves the
+float range are taken scaled by max|v|.
+
+The telescoping check takes no p and reads no rows. At every sign vector,
+index i's deviation is one float expression of z_i and its sibling sums,
+and S - z_i is their sum. The siblings hold disjoint coordinates other than
+i, so over the enumeration (z_i, sibling sums) takes every value in
+{-1, 1} x prod_l {-m_l, -m_l + 2, ..., m_l}, m_l the level-l sibling's real
+size. A max depends on neither order nor multiplicity, so one grid per
+tuple of sizes (at most 4 grids of at most 2700 entries for n <= 20) gives
+the max over every sign vector and index bit for bit.
+
+A slow generic conditional-expectation path (nested enumeration) is kept as
+an independent cross-check of the block sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import isfinite, sqrt
 
 import numpy as np
@@ -160,9 +152,8 @@ def _enumerated(n: int):
     contiguous row ``sums[0][i]`` and S = sum_i z_i is ``sums[k][0]``. Level 0
     is the cached int8 columns of ``sign_matrix(n)``, read in place; the levels
     above are int8 too (|block sum| <= 2**k <= 32), built once per n and
-    shared read-only by both verifiers. Callers scale them by Python floats,
-    so the products are float64. Holds the whole of ``sign_matrix(n)``, so n
-    is capped at 20.
+    shared read-only. Callers scale them by Python floats, so the products
+    are float64. Holds the whole of ``sign_matrix(n)``, so n is capped at 20.
     """
     tree = build_partition(n)
     return tree, [sign_matrix(n).T, *_upper_sums(n)]
@@ -194,46 +185,23 @@ def _sibling_size(n: int, i: int, l: int) -> int:
 
 
 def verify_telescoping(params: ChaosParams) -> TelescopeReport:
-    """Check the telescoping identity on every sign vector and index.
-
-    The deviation depends on (n, M, beta/2) alone and takes no p, so it is
-    memoized per that key; every call still reads ``_enumerated(n)``, which
-    checks n and makes the one ``sign_matrix(n)`` call of a verifier call."""
+    """Check the telescoping identity on every sign vector and index, over
+    the grid of values its terms take (see the module docstring).
+    ``_enumerated(n)`` checks n and makes the one ``sign_matrix(n)`` call of
+    a verifier call."""
     n = params.n
-    _enumerated(n)
-    worst = _telescoping_deviation(n, float(params.M), float(0.5 * params.beta))
-    return TelescopeReport(n=n, max_deviation=worst)
-
-
-@lru_cache(maxsize=64)
-def _telescoping_deviation(n: int, M: float, half_beta: float) -> float:
-    """Worst |sum_l (g_i^l - g_i^{l+1}) - (g_i - M*z_i)|, from the private
-    ``_sign_columns`` and ``_upper_sums``, as ``_upper_sums`` itself is built.
-
-    Index i's deviation is elementwise in z_i, S and its sibling sums, so two
-    indices whose siblings have the same real sizes at every level give the
-    same values permuted; one index per class stands for it."""
-    sums = [_sign_columns(n), *_upper_sums(n)]
-    total = sums[-1][0]
-    half_zi, tmp, g_i, acc = np.empty((4, 1 << n))
+    tree, _ = _enumerated(n)
+    M, half_beta = float(params.M), float(0.5 * params.beta)
     worst = 0.0
-    classes = {tuple(_sibling_size(n, i, l) for l in range(len(sums) - 1)): i for i in range(n)}
-    for i in classes.values():                    # one index per class
-        zi = sums[0][i]
-        np.multiply(half_beta, zi, out=half_zi)   # shared by g_i and every term
-        np.multiply(M, zi, out=tmp)
-        np.subtract(total, zi, out=g_i)
-        g_i *= half_zi
-        g_i += tmp                                # g_i = M*z_i + half_zi*(S - z_i)
-        g_i -= tmp                                # g_i - M*z_i, rounded as checked
-        acc.fill(0.0)
-        for l in range(len(sums) - 1):
-            sib = _sibling_sum(sums, i, l)
-            if sib is not None:                   # a padding sibling adds 0
-                acc += np.multiply(half_zi, sib, out=tmp)
-        acc -= g_i
-        worst = max(worst, float(np.max(np.abs(acc, out=acc))))
-    return worst
+    for sizes in {tuple(_sibling_size(n, i, l) for l in range(tree.k)) for i in range(n)}:
+        zi, *sibs = np.ix_([-1, 1], *(range(-m, m + 1, 2) for m in sizes if m))
+        half_zi = half_beta * zi                  # shared by g_i and every term
+        g_i = half_zi * sum(sibs) + M * zi - M * zi   # g_i - M*z_i, rounded as checked
+        acc = 0.0
+        for sib in sibs:                          # a padding sibling adds 0
+            acc = acc + half_zi * sib
+        worst = max(worst, float(np.max(np.abs(acc - g_i))))
+    return TelescopeReport(n=n, max_deviation=worst)
 
 
 @dataclass(frozen=True)

@@ -112,6 +112,17 @@ class TestDyadicSumMomentBound:
         with pytest.raises(ValueError, match="p must be"):
             dyadic_sum_moment_bound(1.5, 4, 1.0, 0.0)
 
+    @pytest.mark.parametrize("M", [0.0, 1.0])
+    def test_overflow_names_p_and_n(self, M):
+        # p * n overflows: at M = 0 the M term was 0 * inf = nan
+        with pytest.raises(ValueError, match=r"overflows at p = 1e\+308, n = 9,"):
+            dyadic_sum_moment_bound(1e308, 9, 0.25, M)
+
+    @pytest.mark.parametrize("p,n,beta", [(2, 1, 1.0), (7.5, 9, 0.25), (1e300, 3, 1e-10)])
+    def test_zero_M_adds_nothing(self, p, n, beta):
+        assert (dyadic_sum_moment_bound(p, n, beta, 0).value
+                == 12 * math.sqrt(2.0) * p * n * beta * ceil_log2(n))
+
     @pytest.mark.parametrize("k", [1, 2, 49, 52, 62])
     def test_ceil_log2_exact_at_powers_of_two(self, k):
         # in floats log2(2**k + 1) rounds to k from k = 49 on, so ceil(log2 n)

@@ -15,7 +15,7 @@ from stablebounds import cli, oracle
 from stablebounds.chaos import _collapsed
 from stablebounds.cli import ConfigError, main, run
 from stablebounds.oracle import _collapse_lp
-from stablebounds.partition import _telescoping_deviation, _upper_sums
+from stablebounds.partition import _upper_sums
 
 DATA = Path(__file__).parent / "data"
 
@@ -50,6 +50,16 @@ class TestGrids:
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         keys = [(int(r[2]), float(r[3])) for r in rows]
         assert keys == sorted(keys)
+
+    def test_numeric_gamma_from_config(self, tmp_path):
+        # JSON gives gamma as a number; the command line gives it as text
+        cfg, a, b = tmp_path / "cfg.json", tmp_path / "a.csv", tmp_path / "b.csv"
+        cfg.write_text(json.dumps({"grid": {"n": [100], "gamma": [0.01], "L": [1],
+                                            "delta": [0.1]}}))
+        assert run_main(["bounds", "--config", cfg, "--out", a]) == 0
+        assert run_main(["bounds", "--n", "100", "--gamma", "0.01", "--L", "1",
+                         "--delta", "0.1", "--out", b]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
     def test_empty_grid_is_config_error(self, capsys):
         assert run_main(["bounds", "--n", "100", "--gamma", "0.1",
@@ -114,6 +124,43 @@ class TestConfigHandling:
         assert run_main(["partition", "--n", "20", "--M", "1", "--beta", "1",
                          "--p", "nan"]) == 1
         assert capsys.readouterr().err == "error: p must be finite and >= 2, got nan\n"
+
+    @pytest.mark.parametrize("config,args,message", [
+        ({"grid": {"n": [100], "gamma": [0.1], "L": [1], "delta": [0.1], "zz": [1]}},
+         ["bounds"], "unknown grid keys for bounds: ['zz']"),
+        (None, ["chaos", "--n", "4", "--M", "0", "--beta", "0", "--p", "2"],
+         "chaos grid contains the degenerate point M = beta = 0"),
+        (None, ["learn", "--learner", "constant", "--n", "10", "--delta", "0.1",
+                "--reps", "999", "--seed", "1"], "learn requires reps >= 1000"),
+        ({"format": "xml", "grid": {"a": [1], "b": [0.5], "p": [2], "delta": [0.1]}},
+         ["tails"], "unknown format 'xml'"),
+        ([1, 2], ["tails"], "config must be a JSON object"),
+        ("absent", ["tails"],
+         "cannot read config {cfg!r}: [Errno 2] No such file or directory: {cfg!r}"),
+        (None, ["bounds", "--n", "100", "--gamma", "x/n", "--L", "1", "--delta", "0.1"],
+         "bad gamma expression 'x/n'"),
+        (None, ["bounds", "--n", "100", "--gamma", "abc", "--L", "1", "--delta", "0.1"],
+         "bad gamma value 'abc'"),
+    ], ids=["grid_keys", "degenerate_chaos", "learn_reps", "format", "not_object",
+            "unreadable", "gamma_expression", "gamma_value"])
+    def test_error_line(self, tmp_path, capsys, config, args, message):
+        cfg = tmp_path / "cfg.json"
+        if config is not None:
+            if config != "absent":
+                cfg.write_text(json.dumps(config))
+            args = args + ["--config", cfg]
+        assert run_main(args) == 1
+        assert capsys.readouterr().err == f"error: {message.format(cfg=str(cfg))}\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_equals_out_file(self, tmp_path, capsys, fmt):
+        args = ["learn", "--learner", "clipped_mean", "--n", "8", "--delta", "0.1",
+                "--reps", "1000", "--seed", "3", "--format", fmt]
+        out = tmp_path / "out"
+        assert run_main(args + ["--out", out]) == 0
+        capsys.readouterr()
+        assert run_main(args) == 0
+        assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
 
     def test_unknown_learner(self):
         assert run_main(["learn", "--learner", "svm", "--n", "10",
@@ -355,13 +402,12 @@ class TestDeterminism:
     @pytest.mark.parametrize("threads", ["2", "3"])
     def test_cold_shared_caches_thread_independent(self, tmp_path, args, threads):
         # two pool threads share every one-entry record (``_last``) and the
-        # memoized norms and telescoping reports, each emptied first; a short
-        # switch interval makes them replace each other's record mid-row
+        # memoized norms, each emptied first; a short switch interval makes
+        # them replace each other's record mid-row
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run_main(args + ["--out", a, "--threads", "1"]) == 0
         _collapse_lp.cache_clear()
         _collapsed.cache_clear()
-        _telescoping_deviation.cache_clear()
         for last in (oracle._held_abs, oracle._support, oracle._law, _upper_sums):
             last.held = None
         interval = sys.getswitchinterval()

@@ -396,6 +396,38 @@ class TestSampleSizeCap:
             run(clipped_mean_learner())
 
 
+class TestInputChecks:
+    """NaN fails every comparison, so each check is written as `not x >= c`;
+    a Philox key is a uint64, so a seed outside [0, 2**64) is refused."""
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    def test_negative_or_nan_shrinkage_is_refused(self, bad):
+        # a NaN lam made a sandwich sweep with gamma = nan that checked nothing
+        with pytest.raises(ValueError, match=f"lam must be >= 0, got {bad}"):
+            shrunk_mean_learner(bad)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    def test_negative_or_nan_loss_bound_is_refused(self, bad):
+        with pytest.raises(ValueError, match=f"loss_bound must be >= 0, got {bad}"):
+            LearnerSpec(name="bad", fit=lambda ds: (lambda x: 0.0), loss=absolute_loss,
+                        loss_bound=bad)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    @pytest.mark.parametrize("run", [
+        lambda spec, seed: check_deterministic(spec, BERN, n=4, seed=seed),
+        lambda spec, seed: collect_gaps(spec, BERN, n=5, reps=10, seed=seed),
+        lambda spec, seed: gap_quantiles(spec, BERN, 5, 1000, [0.1], seed=seed),
+        lambda spec, seed: sandwich_sweep(spec, BERN, n=5, reps=10, seed=seed),
+        lambda spec, seed: correlation_check(spec, BERN, n=5, reps=1000, seed=seed),
+        lambda spec, seed: estimate_gamma(spec, BERN, n=5, trials=10, seed=seed,
+                                          mode="sampled"),
+    ], ids=["check_deterministic", "collect_gaps", "gap_quantiles", "sandwich_sweep",
+            "correlation_check", "estimate_gamma"])
+    def test_seed_outside_uint64_is_refused(self, run, seed):
+        with pytest.raises(ValueError, match=rf"seed must lie in \[0, 2\*\*64\), got {seed}$"):
+            run(clipped_mean_learner(), seed)
+
+
 class TestDeterminismGuard:
     def test_accepts_deterministic_learner(self):
         check_deterministic(clipped_mean_learner(), BERN, n=8)

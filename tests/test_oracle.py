@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from stablebounds import oracle
-from stablebounds.bounds import classical_moment_bound
+from stablebounds.bounds import classical_moment_bound, dyadic_sum_moment_bound
 from stablebounds.chaos import ChaosParams, tail_probability
-from stablebounds.oracle import (MomentSpec, SignFunction, _blocks_lp, _collapse_lp, _last,
+from stablebounds.oracle import (ENUMERATION_CAP, MomentSpec, SignFunction, _blocks_lp,
+                                 _collapse_lp, _last,
                                  _mc_values, _sign_columns, collapse_lp,
                                  constant_function, coordinate_function,
                                  empirical_tail, enumerate_lp,
@@ -580,9 +581,10 @@ class TestHitczenkoFunctional:
         for p in (1, 2, 3, 6):
             assert hitczenko_functional([1, 0, 0, 0], p) == pytest.approx(1.0)
 
-    def test_rejects_negative_weights(self):
+    @pytest.mark.parametrize("a", [[1, -1], [math.nan, 1.0]])
+    def test_rejects_negative_weights(self, a):
         with pytest.raises(ValueError, match="non-negative"):
-            hitczenko_functional([1, -1], 2)
+            hitczenko_functional(a, 3)
 
     def test_infinite_p_is_the_limit_of_large_p(self):
         # every finite p >= len(a) takes all weights in the head
@@ -664,16 +666,29 @@ class TestSignMatrix:
             sign_matrix(21)
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+@pytest.mark.parametrize("call", [
+    lambda seed: MomentSpec(p=2, reps=100, seed=seed),
+    lambda seed: empirical_tail(sum_function(ENUMERATION_CAP + 1), 1.0, reps=100, seed=seed),
+], ids=["MomentSpec", "empirical_tail"])
+def test_seed_outside_uint64_is_refused(call, seed):
+    # a Philox key is a uint64; numpy raised OverflowError for these
+    with pytest.raises(ValueError, match=rf"seed must lie in \[0, 2\*\*64\), got {seed}$"):
+        call(seed)
+
+
 @pytest.mark.parametrize("call", [
     lambda x: enumerate_lp(sum_function(4), x),
     lambda x: MomentSpec(p=x, reps=100),
     lambda x: hitczenko_functional([1.0, 0.5], x),
     lambda x: latala_allones_estimate(4, x),
     lambda x: classical_moment_bound("mcdiarmid", n=4, p=x, beta=1.0),
+    lambda x: dyadic_sum_moment_bound(x, 4, 1, 1),
     lambda x: empirical_tail(sum_function(4), x),
     lambda x: tail_probability(ChaosParams(4, 1, 1), x),
 ], ids=["enumerate_lp", "MomentSpec", "hitczenko_functional", "latala_allones_estimate",
-        "classical_moment_bound", "empirical_tail", "tail_probability"])
+        "classical_moment_bound", "dyadic_sum_moment_bound", "empirical_tail",
+        "tail_probability"])
 def test_nan_order_or_threshold_is_rejected(call):
     # a NaN fails every comparison, so each check is written as `not x >= bound`
     with pytest.raises(ValueError, match=r"must be >= \d, got nan"):

@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 from stablebounds.chaos import ChaosParams, chaos_g, chaos_lp
 from stablebounds.oracle import lp_norm, sign_matrix
 from stablebounds import partition
-from stablebounds.partition import (PartitionTree, _enumerated, _sibling_sum,
-                                    _telescoping_deviation, _upper_sums,
+from stablebounds.partition import (PartitionTree, _enumerated, _sibling_sum, _upper_sums,
                                     block_of, build_partition,
                                     telescope_term_generic,
                                     verify_level_bounds, verify_telescoping)
@@ -220,7 +219,7 @@ class TestVerifyLevelBounds:
     @pytest.mark.parametrize("p,message", [
         (math.nan, "p must be finite and >= 2, got nan"),
         (math.inf, "p must be finite and >= 2, got inf"),
-        (1e308, "bound value must be finite"),      # the final bound overflows
+        (1e308, r"dyadic sum bound overflows at p = 1e\+308, n = 18"),   # the final bound
     ])
     def test_bad_p_fails_before_any_enumeration(self, monkeypatch, p, message):
         calls = []
@@ -247,8 +246,8 @@ def warm_traced_peak(run) -> int:
 
 
 class TestSharedBlockSums:
-    """Levels 1..k of the block sums are int8, built once per n and read by
-    both verifiers; each call writes only into a few float64 rows of its own."""
+    """Levels 1..k of the block sums are int8, built once per n and shared
+    read-only; each verifier call writes only into a few float64 rows of its own."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 17])
     def test_levels_are_read_only_int8_equal_to_float64_rebuild(self, n):
@@ -279,7 +278,7 @@ class TestSharedBlockSums:
         _upper_sums.held = None                   # a cache miss adds no call
         verify_telescoping(ChaosParams(10, 1.0, 0.5))
         verify_level_bounds(ChaosParams(10, 1.0, 0.5), 4.0)
-        verify_telescoping(ChaosParams(10, 1.0, 0.5))   # a memoized report too
+        verify_telescoping(ChaosParams(10, 1.0, 0.5))   # a repeated report too
         assert calls == [10, 10, 10]
 
     @pytest.mark.parametrize("n", [14, 16])
@@ -289,9 +288,6 @@ class TestSharedBlockSums:
         params, rows = ChaosParams(n, 1.0, 0.3), 8 * 8 << n
         assert warm_traced_peak(lambda: verify_telescoping(params)) <= rows
         assert warm_traced_peak(lambda: verify_level_bounds(params, 8.0)) <= rows
-        # the memoized report above is a hit; its core holds the same rows
-        core = lambda: _telescoping_deviation.__wrapped__(n, 1.0, 0.15)
-        assert warm_traced_peak(core) <= rows
 
     def test_level_bounds_hold_their_four_work_rows(self):
         # the exact sum norm takes M*S + (beta/2)*(S*S - n) into two of the
@@ -301,27 +297,37 @@ class TestSharedBlockSums:
         assert 4 * row <= peak < 5 * row
 
 
+def max_over_every_index(n: int, M: float, half_beta: float) -> float:
+    """The telescoping deviation written out from the enumeration: every
+    index, every sign vector, the verifier's float operations in its order."""
+    tree, sums = _enumerated(n)
+    total = sums[-1][0]
+    worst = 0.0
+    for i in range(n):
+        zi = sums[0][i]
+        half_zi, m_zi = half_beta * zi, M * zi
+        g = half_zi * (total - zi) + m_zi - m_zi
+        acc = np.zeros(1 << n)
+        for l in range(tree.k):
+            sib = _sibling_sum(sums, i, l)
+            if sib is not None:
+                acc = acc + half_zi * sib
+        worst = max(worst, float(np.max(np.abs(acc - g))))
+    return worst
+
+
 class TestTelescopingMemo:
-    """The telescoping report takes no p: one computation per (n, M, beta/2)."""
+    """The telescoping report holds no memo: each call computes it afresh."""
 
     @pytest.mark.parametrize("params", [ChaosParams(1, 2.0, 0.0), ChaosParams(6, 0.5, 0.5),
                                         ChaosParams(9, 1000, 300), ChaosParams(12, 0.1, 10.0),
                                         # M sets the rounding of g_i + M*z_i - M*z_i here
                                         ChaosParams(7, 0.1, 0.3), ChaosParams(12, 1e10, 0.2)])
     def test_equals_uncached_core(self, params):
-        key = (params.n, float(params.M), float(0.5 * params.beta))
-        expected = _telescoping_deviation.__wrapped__(*key)
+        expected = max_over_every_index(params.n, float(params.M), float(0.5 * params.beta))
         for _ in range(2):
             report = verify_telescoping(params)
             assert report == partition.TelescopeReport(params.n, expected)
-
-    def test_orders_share_one_computation(self):
-        _telescoping_deviation.cache_clear()
-        for p in (2, 4, 8):
-            verify_telescoping(ChaosParams(8, 1.0, 1.0))
-            verify_level_bounds(ChaosParams(8, 1.0, 1.0), p)
-        verify_telescoping(ChaosParams(8, 1, 1))      # equal M and beta as ints
-        assert _telescoping_deviation.cache_info().misses == 1
 
 
 class TestTermNormClosedForm:
@@ -353,29 +359,22 @@ class TestTermNormClosedForm:
 
 class TestSymmetryReductions:
     """Each verifier computes once what the family's symmetry makes equal:
-    one index per class of sibling sizes, one level-0 norm, one flip. Each is
-    held here to the loop it replaces, written out from the enumeration."""
+    the telescoping check one grid of the values its terms take per tuple of
+    sibling sizes, the level bounds one level-0 norm, the chaos conditions one
+    flip. Each is held here to the loop it replaces, written out from the
+    enumeration."""
 
     @pytest.mark.parametrize("n,M,half_beta", [
         (17, 0.1, 0.15), (17, 1e10, 0.1), (19, 0.1, 0.15), (19, 1e10, 0.1),
-        # here the worst index lies outside index 0's class
+        # here the worst index lies outside index 0's tuple of sibling sizes
         (11, 78.751, 0.185), (15, 227148239.767, 0.047),
+        (20, 1e10, 0.1), (13, 227148239.767, 0.047),
+        *((n, M, half_beta) for n in range(1, 17)
+          for M, half_beta in ((0.1, 0.15), (78.751, 0.185), (1e10, 0.1))),
     ])
     def test_telescoping_deviation_equals_max_over_every_index(self, n, M, half_beta):
-        tree, sums = _enumerated(n)
-        total = sums[-1][0]
-        worst = 0.0
-        for i in range(n):
-            zi = sums[0][i]
-            half_zi, m_zi = half_beta * zi, M * zi
-            g = half_zi * (total - zi) + m_zi - m_zi
-            acc = np.zeros(1 << n)
-            for l in range(tree.k):
-                sib = _sibling_sum(sums, i, l)
-                if sib is not None:
-                    acc = acc + half_zi * sib
-            worst = max(worst, float(np.max(np.abs(acc - g))))
-        assert _telescoping_deviation.__wrapped__(n, M, half_beta) == worst
+        report = verify_telescoping(ChaosParams(n, M, 2.0 * half_beta))
+        assert report.max_deviation == max_over_every_index(n, M, half_beta)
 
     def test_level_zero_slacks_equal_every_row_norm(self):
         n, p, beta = 17, 3.5, 0.3
