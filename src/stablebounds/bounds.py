@@ -224,7 +224,7 @@ def classical_moment_bound(kind: str, *, n: int, p: float,
             raise ValueError("mz requires a non-empty list of per-variable p-norms")
         if w.size != n:
             raise ValueError(f"mz expects {n} norms, got {w.size}")
-        if np.any(w < 0):
+        if not np.all(w >= 0):          # NaN fails every comparison
             raise ValueError("norms must be non-negative")
         return 3 * sqrt(2 * n * p) * lp_norm(w, p)
     raise ValueError(f"unknown classical bound kind {kind!r}")

@@ -165,9 +165,12 @@ def verify_chaos_conditions(params: ChaosParams) -> ChaosConditionsReport:
     read in place from the rows of the cached coordinate-major matrix. A flip
     of z_j changes g_i only through t, and swapping j with j' maps the
     enumeration onto itself and keeps t, so every j gives the same values
-    permuted and the same max: one flip stands for all. All four violations
-    are exactly 0 for this family. The enumeration holds
-    ``sign_matrix(n - 1)``, so n is capped at 21.
+    permuted and the same max: one flip stands for all. The family meets
+    every hypothesis, but the violations are exactly 0 only where the
+    arithmetic is exact, as at dyadic M and beta; elsewhere rounding leaves
+    residues near 1e-15 (bounded_difference 1.4e-15 at n = 2, M = 10,
+    beta = 0.1), and ``passed``, which asks for exactly 0, is False. The
+    enumeration holds ``sign_matrix(n - 1)``, so n is capped at 21.
     """
     n, M, beta = params.n, params.M, params.beta
     worst_mean = 0.0

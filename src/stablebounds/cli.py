@@ -86,8 +86,11 @@ def _coerce(key: str, value):
     if key == "gamma":
         return value if isinstance(value, str) else float(value)
     if key in _INT_KEYS:
-        iv = int(value)
-        if iv != float(value):
+        try:
+            iv = int(value)
+        except ValueError:                      # '2.5' or nan; inf overflows
+            iv = None
+        if iv is None or iv != float(value):
             raise ConfigError(f"{key} must be an integer, got {value!r}")
         if iv < 1:
             raise ConfigError(f"{key} must be >= 1, got {iv}")

@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import (BoundInputs, ceil_log2, generalization_bound,
+from .bounds import (BoundInputs, _require_nonneg, ceil_log2, generalization_bound,
                      tail_from_moments, variance_bound)
 from .oracle import _check_seed
 
@@ -273,6 +273,8 @@ def g_values(spec: LearnerSpec, dataset: Dataset, dist: FiniteDistribution,
 def _gamma_or_analytic(spec: LearnerSpec, n: int, gamma: float | None) -> float:
     if gamma is None and spec.analytic_gamma is None:
         raise ValueError(f"{spec.name} has no analytic gamma; pass one explicitly")
+    if gamma is not None:
+        _require_nonneg(gamma=gamma)
     return spec.analytic_gamma(n) if gamma is None else gamma
 
 

@@ -16,9 +16,9 @@ Every check sweeps the moment order p, so what does not depend on p is built
 once, below the public calls (each call still makes its public
 ``sign_matrix`` call). One rule covers every cache: a one-entry record of
 arrays (the |f| blocks up to n = 20, the collapse's support record and
-binomial law, the partition's block sums) is a ``_last``, which drops the
-held value before it builds the next; a memo of floats or closures is a
-bounded ``lru_cache``, through ``_memo`` where its key may be unhashable.
+binomial law) is a ``_last``, which drops the held value before it builds
+the next; a memo of floats or closures is a bounded ``lru_cache``, through
+``_memo`` where its key may be unhashable.
 Neither holds an unhashable key or an error, held arrays are read-only, and
 a race between pool threads costs a rebuild, never a wrong value.
 

@@ -19,18 +19,18 @@ and every step of the decomposition is checkable by exact enumeration:
 per-term norms against 2*sqrt(p*2^l)*beta, block sums against
 6*sqrt(2)*p*2^l*beta, level sums against 6*sqrt(2)*p*2^k*beta, and the
 assembled chain against the dyadic sum moment bound. The enumeration is
-coordinate-major: each block sum over all 2^n sign vectors is one contiguous
-row (z_i itself at level 0), and blocks of padding alone are not stored.
-Block sums are small integers held as int8: level 0 is the cached sign
-matrix, and the levels above are built once per n and shared read-only.
+coordinate-major: z_i over all 2^n sign vectors is one contiguous row of the
+cached int8 sign matrix, read in place.
 
-The level-bounds check writes every elementwise step into four float64 work
-rows of 2^n per call, the closed form of sum_i g_i included. Every term of a
-block has the same norm, (beta/2)*||sibling sum||_p, since |z_i| = 1, and
-every level-0 term and block is +-beta/2 at each entry, so one norm serves
-them all. Each block's rows are taken over their period, with norms bit for
-bit those of the full rows (README states why). Norms whose |v|^p leaves the
-float range are taken scaled by max|v|.
+The level-bounds check sums each sibling block it reads from those rows
+into an int8 row (a sum of at most 20 signs is exact) and writes every
+elementwise step into four float64 rows of 2^n, the closed form of
+sum_i g_i included. All five rows are its own, so it holds nothing once it
+returns. Every term of a block has the same norm, (beta/2)*||sibling
+sum||_p, since |z_i| = 1, and every level-0 term and block is +-beta/2 at
+each entry, so one norm serves them all. Each block's rows are taken over
+their period, with norms bit for bit those of the full rows (README states
+why). Norms whose |v|^p leaves the float range are taken scaled by max|v|.
 
 The telescoping check takes no p and reads no rows. At every sign vector,
 index i's deviation is one float expression of z_i and its sibling sums,
@@ -42,7 +42,7 @@ tuple of sizes (at most 4 grids of at most 2700 entries for n <= 20) gives
 the max over every sign vector and index bit for bit.
 
 A slow generic conditional-expectation path (nested enumeration) is kept as
-an independent cross-check of the block sums.
+an independent cross-check of the terms (beta/2)*z_i*(sibling sum).
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ import numpy as np
 
 from .bounds import dyadic_sum_moment_bound
 from .chaos import ChaosParams, chaos_collapsed
-from .oracle import SignFunction, _blocks_lp, _last, _sign_columns, lp_norm, sign_matrix
+from .oracle import SignFunction, _blocks_lp, lp_norm, sign_matrix
 
 _SQRT2 = sqrt(2.0)
 GENERIC_CAP = 12   # nested enumeration blows up past desk scale
@@ -142,55 +142,20 @@ class TelescopeReport:
         return self.max_deviation <= 1e-12
 
 
-def _enumerated(n: int):
-    """The partition tree and per-level block sums over the enumeration: for
-    level l an array of shape (blocks, 2**n) whose b-th row sums z_j over
-    block b. Only blocks that hold a real index are stored; a block of
-    padding alone sums to 0.
-
-    The arrays are coordinate-major, so z_i over every sign vector is the
-    contiguous row ``sums[0][i]`` and S = sum_i z_i is ``sums[k][0]``. Level 0
-    is the cached int8 columns of ``sign_matrix(n)``, read in place; the levels
-    above are int8 too (|block sum| <= 2**k <= 32), built once per n and
-    shared read-only. Callers scale them by Python floats, so the products
-    are float64. Holds the whole of ``sign_matrix(n)``, so n is capped at 20.
-    """
-    tree = build_partition(n)
-    return tree, [sign_matrix(n).T, *_upper_sums(n)]
-
-
-@_last
-def _upper_sums(n: int) -> tuple:
-    """Levels 1..k of the block sums, from the private ``_sign_columns``, so
-    that building them adds no public ``sign_matrix`` call."""
-    levels, prev = [], _sign_columns(n)
-    for _ in range(build_partition(n).k):
-        pairs = prev[0::2].copy()           # an odd last block has only padding beside it
-        pairs[:len(prev) // 2] += prev[1::2]
-        pairs.flags.writeable = False       # shared by every caller of this n
-        levels.append(pairs)
-        prev = pairs
-    return tuple(levels)
-
-
-def _sibling_sum(sums, i: int, l: int):
-    """Row of block sums over B^{l+1}(i) \\ B^l(i), or None where it is padding alone."""
-    sib = (i >> l) ^ 1
-    return sums[l][sib] if sib < len(sums[l]) else None
-
-
 def _sibling_size(n: int, i: int, l: int) -> int:
-    """Real indices in B^{l+1}(i) \\ B^l(i); 0 where ``_sibling_sum`` is None."""
+    """Real indices in the sibling block B^{l+1}(i) \\ B^l(i), which starts
+    at ((i >> l) ^ 1) << l; 0 where it is padding alone."""
     return min(1 << l, max(0, n - (((i >> l) ^ 1) << l)))
 
 
 def verify_telescoping(params: ChaosParams) -> TelescopeReport:
     """Check the telescoping identity on every sign vector and index, over
-    the grid of values its terms take (see the module docstring).
-    ``_enumerated(n)`` checks n and makes the one ``sign_matrix(n)`` call of
-    a verifier call."""
+    the grid of values its terms take (see the module docstring). It reads
+    no rows; its one ``sign_matrix(n)`` call caps n at 20, as for every
+    verifier. A NaN deviation is reported as NaN and fails."""
     n = params.n
-    tree, _ = _enumerated(n)
+    tree = build_partition(n)
+    sign_matrix(n)
     M, half_beta = float(params.M), float(0.5 * params.beta)
     worst = 0.0
     for sizes in {tuple(_sibling_size(n, i, l) for l in range(tree.k)) for i in range(n)}:
@@ -200,8 +165,8 @@ def verify_telescoping(params: ChaosParams) -> TelescopeReport:
         acc = 0.0
         for sib in sibs:                          # a padding sibling adds 0
             acc = acc + half_zi * sib
-        worst = max(worst, float(np.max(np.abs(acc - g_i))))
-    return TelescopeReport(n=n, max_deviation=worst)
+        worst = np.maximum(worst, np.max(np.abs(acc - g_i)))   # NaN propagates
+    return TelescopeReport(n=n, max_deviation=float(worst))
 
 
 @dataclass(frozen=True)
@@ -260,9 +225,11 @@ def verify_level_bounds(params: ChaosParams, p: float) -> LevelBoundsReport:
         raise ValueError(f"p must be finite and >= 2, got {p}")
     n = params.n
     final = dyadic_sum_moment_bound(p, n, params.beta, params.M).value
-    tree, sums = _enumerated(n)
+    cols = sign_matrix(n).T                  # row i: z_i over every sign vector
+    tree = build_partition(n)
     beta, half_beta = params.beta, float(0.5 * params.beta)
     level_values, half_sib, block_values, work = np.empty((4, 1 << n))
+    sib_row = np.empty(1 << n, dtype=np.int8)   # |a sum of at most 20 signs| <= 20
 
     term_slacks = []
     block_slacks = []
@@ -276,8 +243,8 @@ def verify_level_bounds(params: ChaosParams, p: float) -> LevelBoundsReport:
         level_values[0], filled = 0.0, 1
         for block in tree.blocks(l):
             real = range(block.start, min(block.stop, n))
-            sib = _sibling_sum(sums, block.start, l)
-            if not real or sib is None:
+            m = _sibling_size(n, block.start, l)
+            if not real or not m:
                 # padding alone, or beside padding alone: every value is 0
                 term_slacks.extend([term_bound] * len(real))
                 block_slacks.append(block_bound)
@@ -288,12 +255,15 @@ def verify_level_bounds(params: ChaosParams, p: float) -> LevelBoundsReport:
             stop = ((block.start >> (l + 1)) + 1) << (l + 1)
             width = 1 << min(max(stop, _LEAF_BITS), n)
             hs, bv, tmp = half_sib[:width], block_values[:width], work[:width]
+            s = ((block.start >> l) ^ 1) << l
+            sib = np.add.reduce(cols[s:s + m, :width], axis=0, dtype=np.int8,
+                                out=sib_row[:width])
             # term_i = z_i * (beta/2) * sib and |z_i| = 1, so every term of
             # the block has the norm of (beta/2) * sib
-            np.multiply(half_beta, sib[:width], out=hs)
+            np.multiply(half_beta, sib, out=hs)
             bv.fill(0.0)
             for i in real:
-                bv += np.multiply(sums[0][i][:width], hs, out=tmp)
+                bv += np.multiply(cols[i, :width], hs, out=tmp)
             if l == 0:      # every level-0 term and block is +-beta/2 at each entry
                 norm0 = _period_lp(hs, p, n, work) if norm0 is None else norm0
                 term_norm = block_norm = norm0
@@ -311,8 +281,8 @@ def verify_level_bounds(params: ChaosParams, p: float) -> LevelBoundsReport:
         level_norms.append(lp_norm(level_values, p, work))
         level_slacks.append(level_bound - level_norms[-1])
 
-    total = level_values                  # float64: an int M or p overflows the
-    total[:] = sums[-1][0]                # int8 top block sum
+    total = level_values                  # float64: an int M or p overflows the int8 S
+    total[:] = np.add.reduce(cols, axis=0, dtype=np.int8, out=sib_row)
     sum_norm = lp_norm(chaos_collapsed(params)(total, half_sib, block_values), p, work)
     chain_value = params.M * lp_norm(total, p, work) + float(np.sum(level_norms))
     chain_bound = (4.0 * params.M * sqrt(p * n)

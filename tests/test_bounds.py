@@ -2,6 +2,7 @@
 constants, and the ordering/monotonicity properties the formulas promise."""
 
 import math
+import re
 import warnings
 from itertools import product
 
@@ -206,6 +207,11 @@ class TestClassicalMomentBounds:
             got = classical_moment_bound("mz", n=2, p=400, norms=(w, w))
         assert got == pytest.approx(120.0 * w, rel=1e-12)
 
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    def test_mz_rejects_negative_or_nan_norms(self, bad):
+        with pytest.raises(ValueError, match="norms must be non-negative"):
+            classical_moment_bound("mz", n=2, p=2, norms=[bad, 1.0])
+
     def test_mz_rejects_empty_norms(self):
         with pytest.raises(ValueError, match="non-empty"):
             classical_moment_bound("mz", n=2, p=2, norms=())
@@ -213,6 +219,30 @@ class TestClassicalMomentBounds:
     def test_rejects_p_below_two(self):
         with pytest.raises(ValueError, match="p must be"):
             classical_moment_bound("mcdiarmid", n=4, p=1.5, beta=1.0)
+
+
+class TestInputGuards:
+    """Guards that no other test reaches, each with its message."""
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: ceil_log2(0), "n must be >= 1, got 0"),
+        (lambda: BoundInputs(n=0, gamma=0.1, L=1.0), "n must be >= 1, got 0"),
+        (lambda: BoundValue("x", 1.0, "vague"), "unknown convention 'vague'"),
+        (lambda: classical_moment_bound("mcdiarmid", n=0, p=2, beta=1.0),
+         "n must be >= 1, got 0"),
+        (lambda: classical_moment_bound("mcdiarmid", n=2, p=2), "mcdiarmid requires beta"),
+        (lambda: classical_moment_bound("hoeffding", n=2, p=2), "hoeffding requires M"),
+        (lambda: classical_moment_bound("mz", n=3, p=2, norms=[1.0, 1.0]),
+         "mz expects 3 norms, got 2"),
+        (lambda: classical_moment_bound("bernstein", n=2, p=2),
+         "unknown classical bound kind 'bernstein'"),
+        (lambda: second_moment_bound(0, 1.0, 1.0), "n must be >= 1, got 0"),
+        (lambda: variance_bound(0, 0.1, 1.0), "n must be >= 1, got 0"),
+    ], ids=["ceil_log2", "inputs_n", "convention", "classical_n", "mcdiarmid", "hoeffding",
+            "mz_count", "kind", "second_moment_n", "variance_n"])
+    def test_guard(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 class TestSecondMomentAndVariance:

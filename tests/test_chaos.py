@@ -2,6 +2,7 @@
 norms against both oracles, and the anti-concentration certificates."""
 
 import math
+import re
 import tracemalloc
 from itertools import product
 
@@ -13,8 +14,8 @@ from scipy.special import gammaln
 
 from stablebounds import cli, oracle
 from stablebounds.bounds import dyadic_sum_moment_bound, second_moment_bound
-from stablebounds.chaos import (ChaosParams, _collapsed, chaos_collapsed, chaos_g, chaos_lp,
-                                chaos_sum_function, lower_ratio,
+from stablebounds.chaos import (ChaosParams, TailCertificate, _collapsed, chaos_collapsed,
+                                chaos_g, chaos_lp, chaos_sum_function, lower_ratio,
                                 paley_zygmund_certificate, second_moment_exact,
                                 tail_probability, verify_chaos_conditions)
 from stablebounds.oracle import (MomentSpec, _collapse_lp, _sign_columns, empirical_tail,
@@ -23,6 +24,18 @@ from stablebounds.oracle import (MomentSpec, _collapse_lp, _sign_columns, empiri
 GRID = [ChaosParams(n, M, beta)
         for n, M, beta in product((2, 3, 4, 6, 8), (0.0, 0.5, 1.0), (0.0, 1.0, 2.5))
         if (M, beta) != (0.0, 0.0)]
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: TailCertificate(2.0, 1.5, 0.1, 1.0, 1.0), "lhs must be a probability, got 1.5"),
+    (lambda: TailCertificate(2.0, 0.5, -0.1, 1.0, 1.0), "rhs must be >= 0, got -0.1"),
+    (lambda: paley_zygmund_certificate(ChaosParams(4, 1.0, 1.0), 1.5),
+     "p must be >= 2, got 1.5"),
+], ids=["lhs", "rhs", "pz_p"])
+def test_input_guard(call, message):
+    """Guards that no other test reaches, each with its message."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestChaosG:

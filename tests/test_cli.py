@@ -15,7 +15,6 @@ from stablebounds import cli, oracle
 from stablebounds.chaos import _collapsed
 from stablebounds.cli import ConfigError, main, run
 from stablebounds.oracle import _collapse_lp
-from stablebounds.partition import _upper_sums
 
 DATA = Path(__file__).parent / "data"
 
@@ -141,8 +140,25 @@ class TestConfigHandling:
          "bad gamma expression 'x/n'"),
         (None, ["bounds", "--n", "100", "--gamma", "abc", "--L", "1", "--delta", "0.1"],
          "bad gamma value 'abc'"),
+        # argparse errors exit 2 with a usage block; the CLI's parser gives one line
+        (None, ["tails", "--a", "1", "--b", "1", "--p", "2", "--delta", "0.1",
+                "--format", "xml"],
+         "argument --format: invalid choice: 'xml' (choose from 'csv', 'json')"),
+        (None, ["tails", "--a", "1", "--b", "1", "--p", "2", "--delta", "0.1",
+                "--bogus", "3"], "unrecognized arguments: --bogus 3"),
+        (None, [], "a command is required (bounds|chaos|partition|learn|tails)"),
+        (None, ["chaos", "--n", "2.5", "--M", "1", "--beta", "1", "--p", "2"],
+         "n must be an integer, got '2.5'"),
+        ({"grid": {"n": [2.5], "M": [1], "beta": [1], "p": [2]}}, ["chaos"],
+         "n must be an integer, got 2.5"),
+        ({"grid": {"n": [float("nan")], "M": [1], "beta": [1], "p": [2]}}, ["chaos"],
+         "n must be an integer, got nan"),
+        (None, ["tails", "--a", "1", "--b", "1", "--p", "2", "--delta", "0.1",
+                "--threads", "-1"], "threads must be >= 0, got -1"),
     ], ids=["grid_keys", "degenerate_chaos", "learn_reps", "format", "not_object",
-            "unreadable", "gamma_expression", "gamma_value"])
+            "unreadable", "gamma_expression", "gamma_value", "format_choice",
+            "unknown_flag", "no_command", "non_integer_n", "non_integer_n_config",
+            "nan_n_config", "negative_threads"])
     def test_error_line(self, tmp_path, capsys, config, args, message):
         cfg = tmp_path / "cfg.json"
         if config is not None:
@@ -161,6 +177,10 @@ class TestConfigHandling:
         capsys.readouterr()
         assert run_main(args) == 0
         assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+    def test_unknown_command_in_config(self):
+        with pytest.raises(ConfigError, match=r"unknown command 'nope'; have \['bounds', "):
+            run({"command": "nope"})
 
     def test_unknown_learner(self):
         assert run_main(["learn", "--learner", "svm", "--n", "10",
@@ -382,7 +402,7 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
 
     def test_partition_thread_independent(self, tmp_path):
-        # every pool thread reads the block sums cached for one n at a time;
+        # every pool thread reads the sign matrix cached for each n;
         # a short switch interval interleaves the threads between n = 6 and 9
         args = ["partition", "--n", "6,9", "--M", "0,1", "--beta", "1", "--p", "2,8"]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -408,7 +428,7 @@ class TestDeterminism:
         assert run_main(args + ["--out", a, "--threads", "1"]) == 0
         _collapse_lp.cache_clear()
         _collapsed.cache_clear()
-        for last in (oracle._held_abs, oracle._support, oracle._law, _upper_sums):
+        for last in (oracle._held_abs, oracle._support, oracle._law):
             last.held = None
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)

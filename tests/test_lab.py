@@ -10,6 +10,7 @@ exactly 1/2, the empirical risk is 2K(n-K)/n^2, and therefore
 
 import dataclasses
 import math
+import re
 import tracemalloc
 from itertools import product
 
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stablebounds import lab
 from stablebounds.lab import (Example, FiniteDistribution, GammaEstimate,
                               LearnerSpec, _draws, _losses, _replace_one,
                               absolute_loss, bernoulli_labels,
@@ -426,6 +428,51 @@ class TestInputChecks:
     def test_seed_outside_uint64_is_refused(self, run, seed):
         with pytest.raises(ValueError, match=rf"seed must lie in \[0, 2\*\*64\), got {seed}$"):
             run(clipped_mean_learner(), seed)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("run", [
+        lambda gamma: sandwich_sweep(clipped_mean_learner(), BERN, 5, 10, 1, gamma=gamma),
+        lambda gamma: correlation_check(clipped_mean_learner(), BERN, 5, 1000, 1,
+                                        gamma=gamma),
+        lambda gamma: gap_quantiles(clipped_mean_learner(), BERN, 5, 1000, [0.1], 1,
+                                    gamma=gamma),
+    ], ids=["sandwich_sweep", "correlation_check", "gap_quantiles"])
+    def test_given_gamma_not_finite_and_nonneg_is_refused(self, monkeypatch, run, bad):
+        # a NaN gamma made a sweep with violations = 0 and max_excess = nan
+        def draws(*args):
+            pytest.fail("a dataset was drawn before gamma was checked")
+
+        monkeypatch.setattr(lab, "_draws", draws)
+        with pytest.raises(ValueError, match=f"gamma must be finite and >= 0, got {bad}$"):
+            run(bad)
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: FiniteDistribution(support=(Example(0.0, 0.0),), probs=(0.5, 0.5)),
+         "support and probs must be non-empty and match"),
+        (lambda: g_i_exact(clipped_mean_learner(), dataset_of_labels([0, 1]), BERN, 2),
+         "index 2 out of range for n=2"),
+        (lambda: estimate_gamma(clipped_mean_learner(), BERN, n=4, trials=0),
+         "trials must be >= 1, got 0"),
+        (lambda: estimate_gamma(clipped_mean_learner(), BERN, n=4, mode="guess"),
+         "unknown mode 'guess'"),
+        (lambda: estimate_gamma(clipped_mean_learner(), BERN, n=4, mode="exhaustive",
+                                exhaustive_cap=10),
+         "exhaustive enumeration needs 256 evaluations, cap is 10"),
+        (lambda: correlation_check(clipped_mean_learner(), BERN, n=1, reps=1000, seed=1),
+         "need n >= 2 for index pairs, got 1"),
+        (lambda: gap_quantiles(clipped_mean_learner(), BERN, 5, 999, [0.1], seed=1),
+         "reps must be >= 1000, got 999"),
+        (lambda: sandwich_sweep(dataclasses.replace(clipped_mean_learner(),
+                                                    analytic_gamma=None), BERN, 5, 10, 1),
+         "clipped_mean has no analytic gamma; pass one explicitly"),
+        (lambda: bernoulli_labels(0.0), "p must lie in (0, 1), got 0.0"),
+        (lambda: labelled_pair(1.0), "p must lie in (0, 1), got 1.0"),
+    ], ids=["distribution", "g_i_index", "trials", "mode", "exhaustive_cap", "pairs_n",
+            "quantile_reps", "no_analytic_gamma", "bernoulli_p", "pair_p"])
+    def test_guard(self, call, message):
+        # guards that no other test reaches, each with its message
+        with pytest.raises((ValueError, IndexError), match=f"^{re.escape(message)}$"):
+            call()
 
 
 class TestDeterminismGuard:

@@ -2,6 +2,7 @@
 Carlo) against each other and against plain-Python brute force."""
 
 import math
+import re
 import tracemalloc
 import warnings
 from itertools import product
@@ -25,6 +26,20 @@ from stablebounds.oracle import (ENUMERATION_CAP, MomentSpec, SignFunction, _blo
                                  log_binomial_weights, lp_norm, mc_lp,
                                  sign_matrix, sum_function,
                                  weighted_sum_function)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: SignFunction(0, lambda rows: rows), "arity must be >= 1, got 0"),
+    (lambda: coordinate_function(3, 3), "coordinate 3 out of range for arity 3"),
+    (lambda: collapse_lp(lambda s: s, 0, 2.0), "n must be >= 1, got 0"),
+    (lambda: empirical_tail(sum_function(ENUMERATION_CAP + 1), 1.0, reps=10),
+     "reps must be >= 100, got 10"),
+    (lambda: hitczenko_functional([], 2.0), "weights must be a non-empty 1-d sequence"),
+], ids=["arity", "coordinate", "collapse_n", "tail_reps", "hitczenko_empty"])
+def test_input_guard(call, message):
+    """Guards that no other test reaches, each with its message."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def brute_force_lp(n, scalar_f, p):

@@ -1,6 +1,6 @@
 """Partition scheme tests: structure, the telescoping identity, the generic
-conditional-expectation path against the verifiers' block sums, and the
-per-layer moment bounds."""
+conditional-expectation path against block sums built here from the sign
+matrix, and the per-layer moment bounds."""
 
 import math
 import tracemalloc
@@ -13,10 +13,29 @@ from hypothesis import strategies as st
 from stablebounds.chaos import ChaosParams, chaos_g, chaos_lp
 from stablebounds.oracle import lp_norm, sign_matrix
 from stablebounds import partition
-from stablebounds.partition import (PartitionTree, _enumerated, _sibling_sum, _upper_sums,
-                                    block_of, build_partition,
+from stablebounds.partition import (PartitionTree, block_of, build_partition,
                                     telescope_term_generic,
                                     verify_level_bounds, verify_telescoping)
+
+
+def block_sums(n: int):
+    """The partition tree and the block sums over the enumeration, built from
+    ``sign_matrix(n)`` alone: for level l an int8 array whose b-th row sums
+    z_j over block b. Only blocks that hold a real index are stored."""
+    tree = build_partition(n)
+    levels = [sign_matrix(n).T]
+    for _ in range(tree.k):
+        prev = levels[-1]
+        pairs = prev[0::2].copy()           # an odd last block has only padding beside it
+        pairs[:len(prev) // 2] += prev[1::2]
+        levels.append(pairs)
+    return tree, levels
+
+
+def sibling_sum(sums, i: int, l: int):
+    """Row of block sums over B^{l+1}(i) \\ B^l(i), or None where it is padding alone."""
+    sib = (i >> l) ^ 1
+    return sums[l][sib] if sib < len(sums[l]) else None
 
 
 class TestBuildPartition:
@@ -60,9 +79,23 @@ class TestBuildPartition:
             assert tree.n_original <= tree.n_padded
             assert tree.n_padded < 2 * tree.n_original or n == 1
 
-    def test_invalid_construction_rejected(self):
-        with pytest.raises(ValueError):
-            PartitionTree(n_original=3, n_padded=8, k=3)
+    @pytest.mark.parametrize("fields,message", [
+        ((3, 8, 3), "padding must be the next power of two"),
+        ((0, 1, 0), "n must be >= 1, got 0"),
+        ((3, 4, 3), r"n_padded must equal 2\*\*k"),
+    ], ids=["padding", "n_below_one", "not_two_to_the_k"])
+    def test_invalid_construction_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            PartitionTree(*fields)
+
+    def test_build_rejects_n_below_one(self):
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+            build_partition(0)
+
+    def test_level_above_k_rejected(self):
+        tree = build_partition(5)
+        with pytest.raises(ValueError, match=r"level 4 out of range 0..3"):
+            tree.blocks(tree.k + 1)
 
 
 class TestBlockOf:
@@ -85,8 +118,8 @@ class TestBlockOf:
 
 
 class TestGenericConditionalPath:
-    """The nested-enumeration reference path must reproduce the terms the
-    verifiers build from their own block sums."""
+    """The nested-enumeration reference path must reproduce the terms
+    (beta/2) * z_i * (sibling block sum), built from the sign matrix."""
 
     @settings(max_examples=80, deadline=None)
     @given(n=st.integers(1, 8), M=st.integers(0, 12).map(lambda q: q / 4),
@@ -95,10 +128,10 @@ class TestGenericConditionalPath:
     @example(n=4, M=2.0, beta=0.0, r=5)       # beta = 0: every term vanishes
     @example(n=3, M=0.5, beta=1.5, r=6)       # index 2 has a padding sibling
     def test_matches_verifier_block_sums(self, n, M, beta, r):
-        # the term is (beta/2) * z_i * (sum over the sibling block), read from
-        # the rows the verifiers use; the terms and M*z_i rebuild g_i
+        # the term is (beta/2) * z_i * (sum over the sibling block); the terms
+        # and M*z_i rebuild g_i
         params = ChaosParams(n, M, beta)
-        tree, sums = _enumerated(n)
+        tree, sums = block_sums(n)
         r %= 1 << n                              # a row of sign_matrix(n)
         z = sign_matrix(n)[r]
         for i in range(n):
@@ -106,7 +139,7 @@ class TestGenericConditionalPath:
             total = 0.0
             for l in range(tree.k):
                 generic = telescope_term_generic(g_i, tree, i, l, z)
-                sib = _sibling_sum(sums, i, l)
+                sib = sibling_sum(sums, i, l)
                 if sib is None:                  # the sibling block is padding alone
                     assert generic == 0.0
                     continue
@@ -120,6 +153,12 @@ class TestGenericConditionalPath:
         with pytest.raises(ValueError, match="level"):
             telescope_term_generic(_chaos_g_function(ChaosParams(4, 1.0, 1.0), 0),
                                    tree, 0, 2, [1, 1, 1, 1])
+
+    def test_z_of_wrong_shape_rejected(self):
+        tree = build_partition(4)
+        with pytest.raises(ValueError, match=r"z must have shape \(4,\), got \(3,\)"):
+            telescope_term_generic(_chaos_g_function(ChaosParams(4, 1.0, 1.0), 0),
+                                   tree, 0, 0, [1, 1, 1])
 
     def test_cap_enforced(self):
         tree = build_partition(16)
@@ -156,6 +195,15 @@ class TestVerifyTelescoping:
     def test_rejects_n_above_matrix_cap(self):
         with pytest.raises(ValueError, match="cap"):
             verify_telescoping(ChaosParams(21, 1.0, 1.0))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_nan_deviation_is_reported_and_fails(self):
+        # half_beta * 4 overflows to inf, and inf - inf is NaN; a max that
+        # kept the running worst over NaN reported 0.0 and passed
+        report = verify_telescoping(ChaosParams(8, 0, 1.7e308))
+        assert math.isnan(report.max_deviation)
+        assert not report.passed
 
     def test_integer_parameters(self):
         # level 0 is the int8 sign matrix; an int M = 1000 must not be cast to it
@@ -245,27 +293,9 @@ def warm_traced_peak(run) -> int:
         tracemalloc.stop()
 
 
-class TestSharedBlockSums:
-    """Levels 1..k of the block sums are int8, built once per n and shared
-    read-only; each verifier call writes only into a few float64 rows of its own."""
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 17])
-    def test_levels_are_read_only_int8_equal_to_float64_rebuild(self, n):
-        tree, sums = _enumerated(n)
-        assert len(sums) == tree.k + 1
-        assert np.shares_memory(sums[0], sign_matrix(n))
-        prev = sign_matrix(n).T.astype(np.float64)
-        for level in sums[1:]:
-            rebuilt = prev[0::2].copy()
-            rebuilt[:len(prev) // 2] += prev[1::2]
-            assert level.dtype == np.int8 and not level.flags.writeable
-            assert np.array_equal(level, rebuilt)
-            prev = rebuilt
-
-    def test_second_call_returns_the_cached_arrays(self):
-        first = _enumerated(9)[1]
-        second = _enumerated(9)[1]
-        assert all(a is b for a, b in zip(first[1:], second[1:]))
+class TestVerifierMemory:
+    """Each verifier call writes only into a few rows of its own, allocated
+    per call, and holds nothing once it returns."""
 
     def test_one_public_sign_matrix_call_per_verifier_call(self, monkeypatch):
         calls = []
@@ -275,7 +305,6 @@ class TestSharedBlockSums:
             return sign_matrix(n)
 
         monkeypatch.setattr(partition, "sign_matrix", counted)
-        _upper_sums.held = None                   # a cache miss adds no call
         verify_telescoping(ChaosParams(10, 1.0, 0.5))
         verify_level_bounds(ChaosParams(10, 1.0, 0.5), 4.0)
         verify_telescoping(ChaosParams(10, 1.0, 0.5))   # a repeated report too
@@ -297,10 +326,27 @@ class TestSharedBlockSums:
         assert 4 * row <= peak < 5 * row
 
 
+    @pytest.mark.parametrize("verify", [lambda params: verify_level_bounds(params, 8.0),
+                                        verify_telescoping], ids=["level_bounds", "telescoping"])
+    def test_call_holds_nothing_after_it_returns(self, verify):
+        # a call at another n first: anything held per n would be rebuilt,
+        # and kept, inside the traced call (the level sums of n = 16 are 0.9 MB)
+        verify(ChaosParams(15, 1.0, 0.3))
+        sign_matrix(16)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            verify(ChaosParams(16, 1.0, 0.3))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= 4096
+
+
 def max_over_every_index(n: int, M: float, half_beta: float) -> float:
     """The telescoping deviation written out from the enumeration: every
     index, every sign vector, the verifier's float operations in its order."""
-    tree, sums = _enumerated(n)
+    tree, sums = block_sums(n)
     total = sums[-1][0]
     worst = 0.0
     for i in range(n):
@@ -309,7 +355,7 @@ def max_over_every_index(n: int, M: float, half_beta: float) -> float:
         g = half_zi * (total - zi) + m_zi - m_zi
         acc = np.zeros(1 << n)
         for l in range(tree.k):
-            sib = _sibling_sum(sums, i, l)
+            sib = sibling_sum(sums, i, l)
             if sib is not None:
                 acc = acc + half_zi * sib
         worst = max(worst, float(np.max(np.abs(acc - g))))
@@ -340,7 +386,7 @@ class TestTermNormClosedForm:
     def test_enumerated_term_norm_matches_collapse(self, n, p):
         from stablebounds.oracle import SignFunction, collapse_lp, enumerate_lp, lp_norm
         beta = 1.3
-        tree, sums = _enumerated(n)
+        tree, sums = block_sums(n)
         i = 0   # sibling block for index 0 at level l is [2^l, 2^(l+1)), block 1
         for l in range(tree.k):
             d = 1 << l
@@ -401,11 +447,11 @@ class TestPeriodRows:
     def test_norms_equal_the_full_row_loop(self, monkeypatch, n, M, beta):
         orders = (2.0, 3.5)
         expected = {p: [] for p in orders}
-        tree, sums = _enumerated(n)
+        tree, sums = block_sums(n)
         for l in range(tree.k):
             level = np.zeros(1 << n)
             for block in tree.blocks(l):
-                sib = _sibling_sum(sums, block.start, l)
+                sib = sibling_sum(sums, block.start, l)
                 if block.start >= n or sib is None:
                     continue
                 half_sib = 0.5 * beta * sib
