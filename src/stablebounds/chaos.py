@@ -21,7 +21,7 @@ over {-1,+1}^(n-1) that stands for every coordinate.
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import isfinite, sqrt
 from numbers import Integral
@@ -57,12 +57,14 @@ class ChaosParams:
 @dataclass(frozen=True)
 class ChaosConditionsReport:
     """Worst violation, over all coordinates and all sign vectors, of each
-    hypothesis of the dyadic sum moment bound."""
+    hypothesis of the dyadic sum moment bound. ``passed`` accepts rounding
+    residues up to 1e-12 * ``scale``, where ``scale`` is max(1, uniform bound)."""
 
     conditional_centering: float    # max |E[g_i | Z_{-i}]|
     conditional_mean: float         # max | |E[g_i | Z_i]| - M |
     bounded_difference: float       # max over j != i of (|delta_j g_i| - beta)+
     uniform_bound: float            # | max |g_i| - (M + beta*(n-1)/2) |
+    scale: float = field(repr=False)
 
     @property
     def worst(self) -> float:
@@ -71,7 +73,7 @@ class ChaosConditionsReport:
 
     @property
     def passed(self) -> bool:
-        return self.worst == 0.0
+        return self.worst <= 1e-12 * self.scale
 
 
 @dataclass(frozen=True)
@@ -169,8 +171,8 @@ def verify_chaos_conditions(params: ChaosParams) -> ChaosConditionsReport:
     every hypothesis, but the violations are exactly 0 only where the
     arithmetic is exact, as at dyadic M and beta; elsewhere rounding leaves
     residues near 1e-15 (bounded_difference 1.4e-15 at n = 2, M = 10,
-    beta = 0.1), and ``passed``, which asks for exactly 0, is False. The
-    enumeration holds ``sign_matrix(n - 1)``, so n is capped at 21.
+    beta = 0.1), which ``passed`` accepts. The enumeration holds
+    ``sign_matrix(n - 1)``, so n is capped at 21.
     """
     n, M, beta = params.n, params.M, params.beta
     worst_mean = 0.0
@@ -193,7 +195,8 @@ def verify_chaos_conditions(params: ChaosParams) -> ChaosConditionsReport:
     center = 0.5 * (branches[1.0] + branches[-1.0])
     worst_center = float(np.max(np.abs(center)))
     worst_unif = abs(max_abs_g - params.uniform_bound)
-    return ChaosConditionsReport(worst_center, worst_mean, worst_bdiff, worst_unif)
+    return ChaosConditionsReport(worst_center, worst_mean, worst_bdiff, worst_unif,
+                                 max(1.0, params.uniform_bound))
 
 
 def lower_ratio(params: ChaosParams, p: float) -> float:

@@ -12,20 +12,21 @@ that are kept deliberately independent of each other:
 * ``mc_lp``        -- seeded, scheduling-independent Monte Carlo; a
   ``MomentSpec`` describes only such a run.
 
-Every check sweeps the moment order p, so what does not depend on p is built
-once, below the public calls (each call still makes its public
-``sign_matrix`` call). One rule covers every cache: a one-entry record of
-arrays (the |f| blocks up to n = 20, the collapse's support record and
-binomial law) is a ``_last``, which drops the held value before it builds
-the next; a memo of floats or closures is a bounded ``lru_cache``, through
-``_memo`` where its key may be unhashable.
+Every check sweeps the moment order p. The collapse builds what does not
+depend on p once, below the public calls; the enumeration evaluates f afresh
+on every call and keeps nothing once it returns. One rule covers every cache:
+a one-entry record of arrays (the collapse's support record and its binomial
+law) is a ``_last``, which drops the held value before it builds the next; a
+memo of floats or closures is a bounded ``lru_cache``, through ``_memo`` where
+its key may be unhashable.
 Neither holds an unhashable key or an error, held arrays are read-only, and
 a race between pool threads costs a rebuild, never a wrong value.
 
 {-1,+1}^n is cached once per n <= 20 as a read-only int8 array (n, 2**n),
 z_i as row i; ``sign_matrix`` is its transpose. The partition's level bounds
 (n <= 20) and the chaos hypotheses (n - 1 coordinates, n <= 21) read it in
-place, and the enumeration copies ``sign_matrix(min(n, 16))`` into every block.
+place, and the enumeration copies ``sign_matrix(min(n, 16))`` into every
+block, column-major as that matrix is, so f sees one layout at every n.
 
 ``lp_norm`` takes |v| into an optional float64 scratch row and raises it
 there in place (``v **= p``), so a caller that takes many norms of one
@@ -47,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, log, sqrt
+from numbers import Integral
 from typing import Callable, Iterable
 
 import numpy as np
@@ -76,7 +78,8 @@ _LGAM_SERIES = ((slice(0, 1000 - 13), (8.11614167470508450300E-4, -5.95061904284
 class SignFunction:
     """Deterministic map {-1,+1}^n -> R, evaluated on batches of sign rows.
 
-    ``eval`` receives an (m, arity) array with entries +-1 and must return an
+    ``eval`` receives an (m, arity) int8 array with entries +-1, column-major
+    from the enumeration and row-major from Monte Carlo, and must return an
     (m,) float array; it must be pure and total on the hypercube.
     """
 
@@ -85,6 +88,8 @@ class SignFunction:
     name: str = ""
 
     def __post_init__(self):
+        if not isinstance(self.arity, Integral):
+            raise ValueError(f"arity must be an integer, got {self.arity!r}")
         if self.arity < 1:
             raise ValueError(f"arity must be >= 1, got {self.arity}")
 
@@ -194,6 +199,8 @@ def _sign_columns(n: int) -> np.ndarray:
 
 def sign_matrix(n: int) -> np.ndarray:
     """All 2**n sign vectors as a read-only (2**n, n) view of +-1 (n <= 20)."""
+    if not isinstance(n, Integral) or n < 0:
+        raise ValueError(f"arity must be an integer >= 0, got {n!r}")
     if n > _CACHED_ARITY:
         raise ValueError(f"arity {n} exceeds sign matrix cap {_CACHED_ARITY}")
     return _sign_columns(n).T
@@ -203,41 +210,18 @@ def _abs_eval(f: SignFunction, rows: np.ndarray) -> np.ndarray:
     return np.abs(np.asarray(f.eval(rows), dtype=np.float64))
 
 
-def _abs_blocks(f: SignFunction, writable: bool = False):
-    """|f| over {-1,+1}^n in lexicographic blocks of 2**min(n, 16) rows: low
-    coordinates from ``sign_matrix``, high ones the bits of the block number.
-
-    Up to ``_CACHED_ARITY`` the blocks come from ``_held_abs``, so the orders
-    p of one f evaluate it once; ``writable`` yields copies. Above that they
-    are evaluated afresh. Every call takes ``sign_matrix`` once, hit or miss."""
+def _abs_blocks(f: SignFunction):
+    """|f| over {-1,+1}^n in lexicographic blocks of 2**min(n, 16) rows, built
+    afresh each pass and column-major, as ``sign_matrix`` is: the low coordinates
+    from one ``sign_matrix`` call, the high ones the bits of the block number."""
     n = f.arity
-    if n > ENUMERATION_CAP:
-        raise ValueError(f"arity {n} exceeds enumeration cap {ENUMERATION_CAP}")
     low_rows = sign_matrix(min(n, _BLOCK_ARITY))
-    if n > _CACHED_ARITY:
-        return _evaluated_blocks(f, low_rows)
-    blocks = _held_abs(f)
-    return (v.copy() for v in blocks) if writable else iter(blocks)
-
-
-def _evaluated_blocks(f: SignFunction, low_rows: np.ndarray):
-    n, low = f.arity, low_rows.shape[1]
+    low = low_rows.shape[1]
     for b in range(1 << (n - low)):
-        rows = np.empty((1 << low, n), dtype=np.int8)
+        rows = np.empty((1 << low, n), dtype=np.int8, order="F")
         rows[:, :low] = low_rows
         rows[:, low:] = 2 * ((b >> np.arange(n - low)) & 1) - 1
         yield _abs_eval(f, rows)
-
-
-@_last
-def _held_abs(f: SignFunction) -> tuple:
-    """The read-only |f| blocks of ``_abs_blocks`` for n <= ``_CACHED_ARITY``
-    (2**n floats, 8 MB at n = 20), from the private ``_sign_columns``, so a
-    miss adds no public ``sign_matrix`` call."""
-    blocks = tuple(_evaluated_blocks(f, _sign_columns(min(f.arity, _BLOCK_ARITY)).T))
-    for v in blocks:
-        v.flags.writeable = False
-    return blocks
 
 
 def _pairwise_sum(parts: list[float]) -> float:
@@ -293,7 +277,9 @@ def enumerate_lp(f: SignFunction, p: float) -> float:
     """Exact, range-safe (2^-n * sum_z |f(z)|^p)^(1/p) over the full hypercube."""
     if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    return _blocks_lp(lambda: _abs_blocks(f, writable=True), 1 << f.arity, p)
+    if f.arity > ENUMERATION_CAP:
+        raise ValueError(f"arity {f.arity} exceeds enumeration cap {ENUMERATION_CAP}")
+    return _blocks_lp(lambda: _abs_blocks(f), 1 << f.arity, p)
 
 
 def _check_collapse_n(n: int) -> None:

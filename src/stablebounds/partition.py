@@ -49,6 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite, sqrt
+from numbers import Integral
 
 import numpy as np
 
@@ -86,6 +87,8 @@ class PartitionTree:
 
 def build_partition(n: int) -> PartitionTree:
     """Pad n to the next power of two and build the dyadic scheme."""
+    if not isinstance(n, Integral):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     k = (n - 1).bit_length()

@@ -14,7 +14,8 @@ from scipy.special import gammaln
 
 from stablebounds import cli, oracle
 from stablebounds.bounds import dyadic_sum_moment_bound, second_moment_bound
-from stablebounds.chaos import (ChaosParams, TailCertificate, _collapsed, chaos_collapsed,
+from stablebounds.chaos import (ChaosConditionsReport, ChaosParams, TailCertificate,
+                                _collapsed, chaos_collapsed,
                                 chaos_g, chaos_lp, chaos_sum_function, lower_ratio,
                                 paley_zygmund_certificate, second_moment_exact,
                                 tail_probability, verify_chaos_conditions)
@@ -93,6 +94,20 @@ class TestVerifyConditions:
         report = verify_chaos_conditions(params)
         assert report.worst == 0.0
         assert report.passed
+
+    def test_rounding_residue_passes(self):
+        # every hypothesis holds; rounding leaves bounded_difference 1.4e-15
+        report = verify_chaos_conditions(ChaosParams(2, 10.0, 0.1))
+        assert 0.0 < report.worst <= 1e-12 * report.scale
+        assert report.scale == ChaosParams(2, 10.0, 0.1).uniform_bound
+        assert report.passed
+
+    @pytest.mark.parametrize("field", range(4))
+    def test_violation_beyond_tolerance_fails(self, field):
+        scale = ChaosParams(9, 10.0, 0.1).uniform_bound
+        violations = [0.0] * 4
+        violations[field] = 1e-9 * scale
+        assert not ChaosConditionsReport(*violations, scale).passed
 
     def test_uniform_bound_attained(self):
         # max |g_i| = beta*(n-1)/2 = 3 at n = 4, beta = 2, M = 0

@@ -428,7 +428,7 @@ class TestDeterminism:
         assert run_main(args + ["--out", a, "--threads", "1"]) == 0
         _collapse_lp.cache_clear()
         _collapsed.cache_clear()
-        for last in (oracle._held_abs, oracle._support, oracle._law):
+        for last in (oracle._support, oracle._law):
             last.held = None
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)

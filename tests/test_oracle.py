@@ -30,12 +30,16 @@ from stablebounds.oracle import (ENUMERATION_CAP, MomentSpec, SignFunction, _blo
 
 @pytest.mark.parametrize("call,message", [
     (lambda: SignFunction(0, lambda rows: rows), "arity must be >= 1, got 0"),
+    (lambda: SignFunction(2.5, lambda rows: rows), "arity must be an integer, got 2.5"),
+    (lambda: SignFunction(math.nan, lambda rows: rows), "arity must be an integer, got nan"),
+    (lambda: sign_matrix(-1), "arity must be an integer >= 0, got -1"),
     (lambda: coordinate_function(3, 3), "coordinate 3 out of range for arity 3"),
     (lambda: collapse_lp(lambda s: s, 0, 2.0), "n must be >= 1, got 0"),
     (lambda: empirical_tail(sum_function(ENUMERATION_CAP + 1), 1.0, reps=10),
      "reps must be >= 100, got 10"),
     (lambda: hitczenko_functional([], 2.0), "weights must be a non-empty 1-d sequence"),
-], ids=["arity", "coordinate", "collapse_n", "tail_reps", "hitczenko_empty"])
+], ids=["arity", "arity_not_integer", "arity_nan", "sign_matrix_negative",
+        "coordinate", "collapse_n", "tail_reps", "hitczenko_empty"])
 def test_input_guard(call, message):
     """Guards that no other test reaches, each with its message."""
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -105,11 +109,16 @@ class TestEnumerateLp:
     @pytest.mark.parametrize("n", [17, 18])
     @pytest.mark.parametrize("p", [1, 2, 8])
     def test_blocks_equal_whole_matrix(self, n, p):
-        # 2 and 4 blocks of 2**16 rows add up as one pass over the matrix does
+        # 2 and 4 blocks of 2**16 rows hold |f| on the matrix bit for bit, also
+        # where f sums floats along each row (the sum's order follows the
+        # layout), and add up as one pass over the matrix does
         for f in (sum_function(n),
                   SignFunction(n, lambda rows: 0.3 * rows.sum(axis=1, dtype=np.float64) ** 2
-                               - 0.7 * rows[:, n - 1])):
-            assert enumerate_lp(f, p) == lp_norm(np.abs(f.eval(sign_matrix(n))), p)
+                               - 0.7 * rows[:, n - 1]),
+                  SignFunction(n, lambda rows: (0.1 * rows).sum(axis=1))):
+            whole = np.abs(f.eval(sign_matrix(n)))
+            assert np.array_equal(np.concatenate(list(oracle._abs_blocks(f))), whole)
+            assert enumerate_lp(f, p) == lp_norm(whole, p)
 
     def test_memory_is_one_block(self):
         # the whole enumeration of 22 coordinates would be 2**22 x 22 int8
@@ -145,24 +154,13 @@ class TestEnumerateLp:
         assert empirical_tail(sum_function(22), 22.0) == pytest.approx(2.0 ** -21)
 
 
-class Unhashable:
-    """A pure callable that cannot be a cache key."""
-
-    __hash__ = None
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __call__(self, rows):
-        return self.fn(rows)
-
-
 def counted(n, fn):
-    """A sign function of arity n and the list its evaluations append to."""
+    """A sign function of arity n and the list its evaluations append the
+    length and column-major flag of their rows to."""
     calls = []
 
     def evaluate(rows):
-        calls.append(len(rows))
+        calls.append((len(rows), rows.flags.f_contiguous))
         return fn(rows)
 
     return SignFunction(n, evaluate), calls
@@ -216,42 +214,29 @@ class TestLastEntry:
         assert row.held is None
 
 
-class TestAbsCache:
-    """Up to n = 20, |f| of the last function enumerated is kept across orders p."""
+class TestFreshBlocks:
+    """Enumeration keeps nothing between calls: every pass evaluates f afresh
+    on column-major blocks."""
 
-    @pytest.mark.parametrize("n", [5, 17])
-    def test_orders_equal_uncached_bit_for_bit(self, n):
-        # two functions interleaved, so the one-entry cache turns over every call
-        fns = [lambda rows: rows.sum(axis=1, dtype=np.float64) ** 2 - 0.7 * rows[:, -1],
-               lambda rows: np.exp(rows[:, 0] + 0.1 * rows.sum(axis=1, dtype=np.float64))]
-        for p in range(1, 11):
-            for fn in fns:
-                assert (enumerate_lp(SignFunction(n, fn), p)
-                        == enumerate_lp(SignFunction(n, Unhashable(fn)), p))
-                assert (empirical_tail(SignFunction(n, fn), 2.5)
-                        == empirical_tail(SignFunction(n, Unhashable(fn)), 2.5))
-
-    def test_one_evaluation_up_to_twenty(self):
-        f, calls = counted(20, lambda rows: rows[:, 3].astype(np.float64))
+    @pytest.mark.parametrize("n,blocks", [(20, 16), (21, 32)])
+    def test_f_runs_once_per_block_per_call(self, n, blocks):
+        f, calls = counted(n, lambda rows: rows[:, 3].astype(np.float64))
         for p in (1, 2, 8):
             enumerate_lp(f, p)
         assert empirical_tail(f, 0.5) == 1.0
-        assert calls == [1 << 16] * 16              # 16 blocks, once
+        assert calls == [(1 << 16, True)] * (4 * blocks)
 
-    def test_arity_21_is_streamed(self):
-        f, calls = counted(21, lambda rows: rows[:, 3].astype(np.float64))
-        enumerate_lp(f, 2)
-        enumerate_lp(f, 3)
-        assert calls == [1 << 16] * 64              # 32 blocks per call
-        assert oracle._held_abs.held is None or oracle._held_abs.held[0] != (f,)
-
-    def test_cached_blocks_are_read_only(self):
-        f = sum_function(9)
-        before = enumerate_lp(f, 3)
-        key, blocks = oracle._held_abs.held
-        assert key == (f,)
-        assert all(not v.flags.writeable for v in blocks)
-        assert enumerate_lp(f, 3) == before         # the powers went to copies
+    def test_call_holds_nothing_after_it_returns(self):
+        # a cache of |f| would hold 2**17 floats (1 MB) here
+        sign_matrix(16)                             # the cached hypercube, built untraced
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            enumerate_lp(sum_function(17), 2)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 16 * 2**10
 
     def test_one_public_sign_matrix_call_per_call(self, monkeypatch):
         calls = []
@@ -263,7 +248,7 @@ class TestAbsCache:
         monkeypatch.setattr(oracle, "sign_matrix", counted_sign_matrix)
         f = sum_function(18)
         enumerate_lp(f, 2)
-        enumerate_lp(f, 8)                          # a hit
+        enumerate_lp(f, 8)
         empirical_tail(f, 1.0)
         assert calls == [16, 16, 16]
 
@@ -486,13 +471,15 @@ class TestLogBinomialWeights:
     def test_weights_of_one_n_are_held(self):
         # the weights live in the collapse's one support record, with |g|, its
         # log and exp(weights): four arrays of n + 1, where a cache of the
-        # weights of every n would hold eight more over these eight n
-        row = 8 * ((1 << 16) + 1)
+        # weights of every n would hold eight more over these eight n. n is
+        # kept to 2**12 since tracemalloc traces every int and float that
+        # ``_lgam`` makes for log x, about 2n per collapse
+        row = 8 * ((1 << 12) + 1)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             for k in range(8):
-                n = (1 << 16) - k
+                n = (1 << 12) - k
                 collapse_lp(lambda s: s * s - 3.0 * s, n, 8)
             held = tracemalloc.get_traced_memory()[0] - before
         finally:

@@ -92,6 +92,11 @@ class TestBuildPartition:
         with pytest.raises(ValueError, match="n must be >= 1, got 0"):
             build_partition(0)
 
+    @pytest.mark.parametrize("n", [2.5, math.nan])
+    def test_build_rejects_non_integer_n(self, n):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
+            build_partition(n)
+
     def test_level_above_k_rejected(self):
         tree = build_partition(5)
         with pytest.raises(ValueError, match=r"level 4 out of range 0..3"):
