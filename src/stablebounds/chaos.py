@@ -28,8 +28,8 @@ from numbers import Integral
 
 import numpy as np
 
-from .oracle import (SignFunction, _check_collapse_n, _memo, _support, collapse_lp,
-                     sign_matrix)
+from .oracle import (SignFunction, _check_collapse_n, _memo, _sign_sum, _support,
+                     collapse_lp, sign_matrix)
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ def chaos_g(i: int, z, params: ChaosParams) -> float:
 def chaos_sum_function(params: ChaosParams) -> SignFunction:
     """sum_i g_i as a batch sign function (closed form; identity tested separately)."""
     g = chaos_collapsed(params)
-    return SignFunction(params.n, lambda rows: g(rows.sum(axis=1, dtype=np.float64)),
+    return SignFunction(params.n, lambda rows: g(_sign_sum(rows)),
                         f"chaos(n={params.n},M={params.M},beta={params.beta})")
 
 
@@ -178,8 +178,9 @@ def verify_chaos_conditions(params: ChaosParams) -> ChaosConditionsReport:
     worst_mean = 0.0
     worst_bdiff = 0.0
     max_abs_g = 0.0
-    flips = sign_matrix(n - 1).T                     # row j: z_j over every Z_{-i}
-    t = flips.sum(axis=0, dtype=np.float64)          # sum over j != i
+    others = sign_matrix(n - 1)                      # one Z_{-i} per row
+    t = _sign_sum(others)                            # sum over j != i
+    flips = others.T                                 # row j: z_j over every Z_{-i}
     branches = {}
     for zi in (1.0, -1.0):
         g_branch = zi * M + 0.5 * beta * zi * t

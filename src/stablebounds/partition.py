@@ -28,9 +28,23 @@ elementwise step into four float64 rows of 2^n, the closed form of
 sum_i g_i included. All five rows are its own, so it holds nothing once it
 returns. Every term of a block has the same norm, (beta/2)*||sibling
 sum||_p, since |z_i| = 1, and every level-0 term and block is +-beta/2 at
-each entry, so one norm serves them all. Each block's rows are taken over
-their period, with norms bit for bit those of the full rows (README states
-why). Norms whose |v|^p leaves the float range are taken scaled by max|v|.
+each entry, so one norm serves them all. Norms whose |v|^p leaves the float
+range are taken scaled by max|v|.
+
+Each term, block and level row is taken over the period of the coordinates
+it reads; only the exact sum S and sum_i g_i stay rows of 2^n. z_j repeats
+every 2^(j+1) entries of the enumeration, so a row that reads coordinates
+below c repeats every 2^c: a block's terms, (beta/2) times its sibling's sum
+over [s, s + m), every 2^(s+m); the block's own sum every 2^stop, stop the
+parent block's real end; a level sum every 2^stop of its last block. Each is
+built over max(2^c, 128) entries alone (at most 2^n), and its norm is bit for
+bit that of the full row: numpy sums a contiguous float64 row of 2^n as a
+pairwise tree of halves down to leaves of 128, so the full sum is exact
+doublings of the period's sum (or inf in both forms), and the norm counts the
+period's sum 2^n / period times before it divides by 2^n. A level sum is
+built in block order, the partial sum tiled up to each block's period before
+that block is added, so every entry sees the adds of the full rows in their
+order.
 
 The telescoping check takes no p and reads no rows. At every sign vector,
 index i's deviation is one float expression of z_i and its sibling sums,
@@ -71,8 +85,7 @@ class PartitionTree:
     k: int                      # n_padded == 2**k
 
     def __post_init__(self):
-        if self.n_original < 1:
-            raise ValueError(f"n must be >= 1, got {self.n_original}")
+        _check_n(self.n_original)
         if self.n_padded != 1 << self.k:
             raise ValueError("n_padded must equal 2**k")
         if not self.n_original <= self.n_padded < 2 * self.n_original:
@@ -85,12 +98,17 @@ class PartitionTree:
         return [range(a, a + size) for a in range(0, self.n_padded, size)]
 
 
-def build_partition(n: int) -> PartitionTree:
-    """Pad n to the next power of two and build the dyadic scheme."""
+def _check_n(n) -> None:
+    """The size of a partition: an integer >= 1."""
     if not isinstance(n, Integral):
         raise ValueError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+
+
+def build_partition(n: int) -> PartitionTree:
+    """Pad n to the next power of two and build the dyadic scheme."""
+    _check_n(n)
     k = (n - 1).bit_length()
     return PartitionTree(n_original=n, n_padded=1 << k, k=k)
 
@@ -267,11 +285,14 @@ def verify_level_bounds(params: ChaosParams, p: float) -> LevelBoundsReport:
             bv.fill(0.0)
             for i in real:
                 bv += np.multiply(cols[i, :width], hs, out=tmp)
+            # the terms read only the sibling's coordinates [s, s + m), so they
+            # repeat every 2**(s + m) entries, within the block's period
+            terms = hs[:1 << min(max(s + m, _LEAF_BITS), n)]
             if l == 0:      # every level-0 term and block is +-beta/2 at each entry
-                norm0 = _period_lp(hs, p, n, work) if norm0 is None else norm0
+                norm0 = _period_lp(terms, p, n, work) if norm0 is None else norm0
                 term_norm = block_norm = norm0
             else:
-                term_norm = _period_lp(hs, p, n, work)
+                term_norm = _period_lp(terms, p, n, work)
                 block_norm = _period_lp(bv, p, n, work)
             term_slacks.extend([term_bound - term_norm] * len(real))
             block_slacks.append(block_bound - block_norm)
@@ -280,8 +301,7 @@ def verify_level_bounds(params: ChaosParams, p: float) -> LevelBoundsReport:
             filled = _tile(level_values, filled, width)
             lv = level_values[:width]
             lv += bv
-        _tile(level_values, filled, 1 << n)
-        level_norms.append(lp_norm(level_values, p, work))
+        level_norms.append(_period_lp(level_values[:filled], p, n, work))
         level_slacks.append(level_bound - level_norms[-1])
 
     total = level_values                  # float64: an int M or p overflows the int8 S

@@ -415,6 +415,38 @@ class TestRepeatedBlock:
         assert value == lp_norm(row, p)
 
 
+class TestSignSum:
+    """``_sign_sum``, the row sum of ``sum_function`` and of the chaos family,
+    adds fewer than 128 signs in int8: equal bit for bit to the float64 sum,
+    on the column-major enumeration blocks and the row-major Monte Carlo
+    batches f is given."""
+
+    @staticmethod
+    def checked(arity, layouts):
+        def f(rows):
+            layouts.append("C" if rows.strides[1] == 1 else "F")
+            got = oracle._sign_sum(rows)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, rows.sum(axis=1, dtype=np.float64))
+            return got
+        return SignFunction(arity, f)
+
+    @pytest.mark.parametrize("arity", [1, 20, 26, 127, 128, 300])
+    def test_equals_the_float64_sum(self, arity):
+        layouts = []
+        f = self.checked(arity, layouts)
+        next(oracle._abs_blocks(f))         # one enumeration block, its first row all -1
+        _mc_values(f, 2 * oracle.MC_BLOCK, seed=arity)
+        assert layouts == ["F", "C", "C"]
+        # the all-+1 row: 127 is int8's edge
+        assert f.eval(np.ones((3, arity), np.int8)).tolist() == [float(arity)] * 3
+
+    @pytest.mark.parametrize("arity,value", [(100, 11.676368890658843),
+                                             (200, 16.37628338716541)])
+    def test_seeded_monte_carlo_pinned(self, arity, value):
+        assert mc_lp(sum_function(arity), MomentSpec(p=3, reps=5000, seed=5)).value == value
+
+
 class TestCollapseCap:
     """Every array over the support of S is capped in n before it is built."""
 

@@ -83,7 +83,8 @@ class TestBuildPartition:
         ((3, 8, 3), "padding must be the next power of two"),
         ((0, 1, 0), "n must be >= 1, got 0"),
         ((3, 4, 3), r"n_padded must equal 2\*\*k"),
-    ], ids=["padding", "n_below_one", "not_two_to_the_k"])
+        ((2.5, 4, 2), "^n must be an integer, got 2.5$"),
+    ], ids=["padding", "n_below_one", "not_two_to_the_k", "non_integer_n"])
     def test_invalid_construction_rejected(self, fields, message):
         with pytest.raises(ValueError, match=message):
             PartitionTree(*fields)
@@ -488,3 +489,20 @@ class TestPeriodRows:
             # then the sum norm and ||S||_p, from full rows
             assert taken[:-2] == expected[p]
             assert len(taken) == len(expected[p]) + 2
+
+    @pytest.mark.parametrize("n,full", [(16, 15), (18, 7)])
+    def test_full_width_norms(self, monkeypatch, n, full):
+        # rows of all 2**n entries: the exact sum, ||S||_p, and the term,
+        # block and level rows that read the last coordinate, z_(n-1)
+        lengths = []
+
+        def recorded(norm):
+            def call(row, *args):
+                lengths.append(row.size)
+                return norm(row, *args)
+            return call
+
+        monkeypatch.setattr(partition, "lp_norm", recorded(partition.lp_norm))
+        monkeypatch.setattr(partition, "_period_lp", recorded(partition._period_lp))
+        verify_level_bounds(ChaosParams(n, 1.0, 1.0), 8.0)
+        assert lengths.count(1 << n) == full
