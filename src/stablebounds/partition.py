@@ -86,6 +86,9 @@ class PartitionTree:
 
     def __post_init__(self):
         _check_n(self.n_original)
+        for name in ("n_padded", "k"):
+            if not isinstance(getattr(self, name), Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_padded != 1 << self.k:
             raise ValueError("n_padded must equal 2**k")
         if not self.n_original <= self.n_padded < 2 * self.n_original:

@@ -64,6 +64,93 @@ class TestDistributions:
         assert BERN.sample(rng1, 8) == BERN.sample(rng2, 8)
 
 
+def philox(seed):
+    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+
+
+def position(rng):
+    """The whole state of a Philox generator, comparable with ``==``."""
+    state = rng.bit_generator.state
+    return ({k: v.tolist() for k, v in state.pop("state").items()},
+            state.pop("buffer").tolist(), state)
+
+
+def weighted(weights):
+    """A distribution on len(weights) points with probabilities ~ weights."""
+    w = np.asarray(weights, dtype=float)
+    return FiniteDistribution(support=tuple(Example(float(i), 0.0) for i in range(len(w))),
+                              probs=tuple((w / w.sum()).tolist()))
+
+
+PROBS = {"uneven": lambda k: np.arange(1, k + 1),
+         "zero_first": lambda k: np.arange(k),
+         "zero_last": lambda k: np.arange(k, 0, -1) - 1}
+
+
+class TestPick:
+    """``lab._pick`` on ``rng.random`` is ``Generator.choice(K, p=probs)``:
+    the same indices, and the generator left at the same place."""
+
+    @pytest.mark.parametrize("size", [None, 7, (13, 5)], ids=["scalar", "n", "rows_n"])
+    @pytest.mark.parametrize("shape", sorted(PROBS))
+    @pytest.mark.parametrize("k", [*range(1, 9), lab._COMPARE_K + 8])
+    def test_equals_choice(self, k, shape, size):
+        dist = weighted(PROBS[shape](k) if k > 1 else [1.0])
+        for seed in range(5):
+            ours, numpys = philox(seed), philox(seed)
+            got = lab._pick(lab._cdf(dist), ours.random(size))
+            want = numpys.choice(k, size=size, p=np.asarray(dist.probs))
+            if size is None:
+                assert type(got) is int and got == want
+            else:
+                assert got.dtype == np.intp and got.flags.c_contiguous
+                assert np.array_equal(got, want)
+            assert position(ours) == position(numpys)
+
+    @pytest.mark.parametrize("dist", [BERN, four_point(), weighted(range(1, 41))],
+                             ids=["bernoulli", "four_point", "k40"])
+    def test_draws_are_choice_blocks(self, dist):
+        # several blocks at n = 30; each (n, rows) block C-contiguous
+        k, n, reps = len(dist.support), 30, 1500
+        numpys = philox(4)
+        blocks = list(_draws(dist, n, reps, philox(4)))
+        assert len(blocks) > 1 and blocks[-1][0].stop == reps
+        for rows, idx in blocks:
+            want = numpys.choice(k, size=(rows.stop - rows.start, n), p=np.asarray(dist.probs))
+            assert idx.flags.c_contiguous and np.array_equal(idx, want.T)
+
+
+class _NoWeightedChoice(np.random.Generator):
+    """A generator whose ``choice`` refuses probabilities."""
+
+    def choice(self, a, size=None, replace=True, p=None, axis=0, shuffle=True):
+        assert p is None, "Generator.choice was given p"
+        return super().choice(a, size, replace, p, axis, shuffle)
+
+
+class TestNoWeightedChoice:
+    """Every lab draw over a ``FiniteDistribution`` goes through ``_pick``:
+    none calls ``Generator.choice`` with ``p``."""
+
+    @pytest.mark.parametrize("run", [
+        lambda: collect_gaps(clipped_mean_learner(), four_point(), 6, 50, 1),
+        lambda: sandwich_sweep(memorizer_learner(), four_point(), 6, 50, 1),
+        lambda: correlation_check(shrunk_mean_learner(), BERN, 6, 1000, 1),
+        lambda: gap_quantiles(clipped_mean_learner(), BERN, 6, 1000, [0.1], 1),
+        lambda: estimate_gamma(clipped_mean_learner(), four_point(), 6, 50, 1, "sampled"),
+        lambda: estimate_gamma(reference_of(memorizer_learner()), BERN, 6, 50, 1, "sampled"),
+        lambda: check_deterministic(clipped_mean_learner(), four_point(), 6, 1),
+    ], ids=["collect_gaps", "sandwich_sweep", "correlation_check", "gap_quantiles",
+            "estimate_gamma", "estimate_gamma_reference", "check_deterministic"])
+    def test_drivers(self, monkeypatch, run):
+        monkeypatch.setattr(lab, "_philox", lambda seed: _NoWeightedChoice(
+            np.random.Philox(key=np.uint64(seed))))
+        run()
+
+    def test_sample(self):
+        assert len(four_point().sample(_NoWeightedChoice(np.random.Philox(key=3)), 9)) == 9
+
+
 class TestRisk:
     def test_constant_loss(self):
         spec = constant_learner(0.0, loss=lambda pred, y: 0.3, loss_bound=1.0)

@@ -283,6 +283,27 @@ class TestCollapseLp:
     def test_zero_function(self):
         assert collapse_lp(lambda s: 0.0 * s, 6, 2) == 0.0
 
+    @pytest.mark.parametrize("case,n,windowed", [
+        ("wide", 4000, True), ("narrow", 1200, False), ("zero", 4000, False)])
+    @pytest.mark.parametrize("p", [1, 2, 8, 64])
+    def test_window_equals_full_reduction(self, case, n, windowed, p):
+        # only the terms within 746 of the largest are summed (the log weights
+        # span n log 2 > 746 here); the float is that of the full log-sum
+        g = {"wide": lambda s: 1.0 + 0.5 * np.abs(s),
+             # p log g = s^2 / 2n offsets most of the log weights
+             "narrow": lambda s: np.exp(0.5 * s * s / (n * p)),
+             "zero": lambda s: 0.0 * s}[case]
+        sup = oracle._Support(g, n)
+        terms = p * sup.logv + sup.logw
+        full = np.exp(np.logaddexp.reduce(np.sort(terms)[::-1]) / p)
+        assert oracle._support_lp(sup, p) == full
+        kept = np.count_nonzero(terms >= terms.max() - 746.0)
+        assert (kept < n + 1) == windowed
+
+    def test_window_edge(self):
+        # a term 746 below the sum adds exactly 0 to it; 745 below, it adds a bit
+        assert np.logaddexp(0.0, -746.0) == 0.0 < np.logaddexp(0.0, -745.0)
+
     def test_log_terms_out_of_range(self):
         # p * log|g| overflows (max|g| = 4 > 1) or underflows (max|g| = 4e-300)
         # to +-inf; the norm tends to max|g| as p grows

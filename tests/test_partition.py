@@ -84,7 +84,10 @@ class TestBuildPartition:
         ((0, 1, 0), "n must be >= 1, got 0"),
         ((3, 4, 3), r"n_padded must equal 2\*\*k"),
         ((2.5, 4, 2), "^n must be an integer, got 2.5$"),
-    ], ids=["padding", "n_below_one", "not_two_to_the_k", "non_integer_n"])
+        ((4, 4.0, 2), "^n_padded must be an integer, got 4.0$"),
+        ((4, 4, 2.0), "^k must be an integer, got 2.0$"),
+    ], ids=["padding", "n_below_one", "not_two_to_the_k", "non_integer_n",
+            "non_integer_n_padded", "non_integer_k"])
     def test_invalid_construction_rejected(self, fields, message):
         with pytest.raises(ValueError, match=message):
             PartitionTree(*fields)
