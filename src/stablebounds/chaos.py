@@ -119,9 +119,7 @@ def chaos_collapsed(params: ChaosParams):
     """sum_i g_i as a function of S alone, for the binomial collapse. Equal
     params give the same function, so ``collapse_lp`` memoizes across callers.
 
-    The function takes S in float64 and returns M*S + (beta/2)*(S*S - n); its
-    optional ``out`` and ``scratch`` arrays of the shape of S take the two
-    products, so a caller with two free rows evaluates it without temporaries.
+    The function takes S in float64 and returns M*S + (beta/2)*(S*S - n).
     """
     return _memo(_collapsed, params.n, params.M, params.beta)
 
@@ -130,9 +128,9 @@ def chaos_collapsed(params: ChaosParams):
 # each traced collapse on ``g.__closure__`` (``_collapse_key``).
 @lru_cache(maxsize=256)
 def _collapsed(n, M, beta):
-    def chaos_sum(s, out=None, scratch=None):
-        total = np.multiply(M, s, out=out, dtype=np.float64)
-        square = np.multiply(s, s, out=scratch, dtype=np.float64)
+    def chaos_sum(s):
+        total = np.multiply(M, s, dtype=np.float64)
+        square = np.multiply(s, s, dtype=np.float64)
         square -= n
         square *= 0.5 * beta
         total += square

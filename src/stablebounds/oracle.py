@@ -249,29 +249,35 @@ def _pairwise_sum(parts: list[float]) -> float:
 
 
 def _blocks_lp(blocks: Callable[[], Iterable[np.ndarray]], count: int, p: float,
-               repeat: int = 1) -> float:
+               repeat: int = 1, spread: Callable[[np.ndarray], np.ndarray] | None = None
+               ) -> float:
     """(count^-1 * sum v^p)^(1/p) over the fresh non-negative float64 arrays
     ``blocks()`` yields, each raised in place (``v **= p`` takes the path of
     ``v ** p``, the square at p = 2 included). Where that sum is non-finite, or
-    0 while max v > 0, a second pass scales each block by its max, so streamed
-    blocks keep bounded memory.
+    0 while max v > 0, a second pass scales each block in place by its max, so
+    streamed blocks keep bounded memory.
 
     Each block's sum counts ``repeat`` times, a power of two, before the
     division by ``count``: a block of 2**j >= 128 entries then stands for its
     ``repeat`` copies side by side, bit for bit, since numpy sums a contiguous
     float64 row as a pairwise tree of halves down to leaves of 128, so the sum
     of the copies is ``repeat`` exact doublings of the block's (inf in both
-    forms where it overflows)."""
+    forms where it overflows). ``spread``, where given, maps each raised block
+    to the row summed in its place: a table of distinct values, raised once,
+    then laid out as the row it stands for."""
     def powered_sum(v):
         v **= p
-        return float(np.sum(v)) * repeat
+        return float(np.sum(v if spread is None else spread(v))) * repeat
 
     with np.errstate(over="ignore"):
         mean = _pairwise_sum([powered_sum(v) for v in blocks()]) / count
     if not (np.isfinite(mean) and mean > 0):
+        parts = []
         with np.errstate(invalid="ignore"):     # 0/0 in all-zero blocks, dropped below
-            parts = [(float(v.max()), float(np.sum((v / v.max()) ** p)) * repeat)
-                     for v in blocks()]
+            for v in blocks():
+                top = v.max()
+                v /= top
+                parts.append((float(top), powered_sum(v)))
         top = float(np.max([t for t, _ in parts]))
         if 0 < top < np.inf:                    # v^p overflowed or underflowed
             scaled = _pairwise_sum([(t / top) ** p * s for t, s in parts if t > 0]) / count

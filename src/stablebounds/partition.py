@@ -22,29 +22,41 @@ assembled chain against the dyadic sum moment bound. The enumeration is
 coordinate-major: z_i over all 2^n sign vectors is one contiguous row of the
 cached int8 sign matrix, read in place.
 
-The level-bounds check sums each sibling block it reads from those rows
-into an int8 row (a sum of at most 20 signs is exact) and writes every
-elementwise step into four float64 rows of 2^n, the closed form of
-sum_i g_i included. All five rows are its own, so it holds nothing once it
-returns. Every term of a block has the same norm, (beta/2)*||sibling
-sum||_p, since |z_i| = 1, and every level-0 term and block is +-beta/2 at
-each entry, so one norm serves them all. Norms whose |v|^p leaves the float
-range are taken scaled by max|v|.
+The level-bounds check writes into three float64 rows of 2^n of its own,
+allocated per call, and holds nothing once it returns. Every term of a
+block has the same norm, (beta/2)*||sibling sum||_p, since |z_i| = 1, and
+every level-0 term and block is +-beta/2 at each entry, so one norm serves
+them all. Norms whose |v|^p leaves the float range are taken scaled by
+max|v| (``oracle._blocks_lp``).
 
-Each term, block and level row is taken over the period of the coordinates
-it reads; only the exact sum S and sum_i g_i stay rows of 2^n. z_j repeats
-every 2^(j+1) entries of the enumeration, so a row that reads coordinates
-below c repeats every 2^c: a block's terms, (beta/2) times its sibling's sum
-over [s, s + m), every 2^(s+m); the block's own sum every 2^stop, stop the
-parent block's real end; a level sum every 2^stop of its last block. Each is
-built over max(2^c, 128) entries alone (at most 2^n), and its norm is bit for
-bit that of the full row: numpy sums a contiguous float64 row of 2^n as a
-pairwise tree of halves down to leaves of 128, so the full sum is exact
-doublings of the period's sum (or inf in both forms), and the norm counts the
-period's sum 2^n / period times before it divides by 2^n. A level sum is
-built in block order, the partial sum tiled up to each block's period before
-that block is added, so every entry sees the adds of the full rows in their
-order.
+Each row is built, and raised to p, at its parent's resolution. Entry x of
+the enumeration has z_j = +1 where bit j of x is set, so a row that reads
+only the coordinates [a, c) is a table over their 2^(c-a) sign patterns:
+constant over runs of 2^a entries, repeating every 2^c. A block's terms,
+(beta/2) times its sibling's sum over [s, s + m), are a table over the
+sibling's 2^m patterns, in runs of 2^s: the sum of the first 2^m entries
+of the sign matrix's rows 0..m-1, taken in int8 (a sum of at most 20 signs
+is exact). The block's own sum reads its parent's coordinates [P, hi), P
+the parent's start and hi its real end, in runs of 2^P. Its table T is
+built by prefix doubling over the block's coordinates in increasing i,
+T -> [T - hs, T + hs] with hs the sibling's table, from T = 0.0. z_i * hs is +-hs exactly and each partial
+sum depends only on its prefix of signs, so every entry of T is the float
+sum of the full-row loop, in its order. S = sum_i z_i is 2*popcount(x) - n:
+|S| and the closed form of sum_i g_i are evaluated on its n + 1 values and
+gathered by a popcount index, built by the same doubling. Only the level
+sums stay rows: a level sum is built in block order, the partial sum tiled
+up to each block's period before that block's table is added across its
+runs, so every entry sees the adds of the full rows in their order.
+
+Each norm raises its table alone and lays the powers out over one period
+of at least 128 entries (at most 2^n), and that period's sum is bit for bit
+the full row's: the power is elementwise, and numpy sums a contiguous
+float64 row of 2^n as a pairwise tree of halves down to leaves of 128, so
+the full sum is exact doublings of the period's sum (or inf in both forms),
+and the norm counts the period's sum 2^n / period times before it divides
+by 2^n. Only the level rows that read z_(n-1) and the top level's two block
+tables (their parent starts at 0, so they have no runs) are raised over all
+2^n entries.
 
 The telescoping check takes no p and reads no rows. At every sign vector,
 index i's deviation is one float expression of z_i and its sibling sums,
@@ -69,7 +81,7 @@ import numpy as np
 
 from .bounds import dyadic_sum_moment_bound
 from .chaos import ChaosParams, chaos_collapsed
-from .oracle import SignFunction, _blocks_lp, lp_norm, sign_matrix
+from .oracle import SignFunction, _blocks_lp, sign_matrix
 
 _SQRT2 = sqrt(2.0)
 GENERIC_CAP = 12   # nested enumeration blows up past desk scale
@@ -87,8 +99,11 @@ class PartitionTree:
     def __post_init__(self):
         _check_n(self.n_original)
         for name in ("n_padded", "k"):
-            if not isinstance(getattr(self, name), Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
         if self.n_padded != 1 << self.k:
             raise ValueError("n_padded must equal 2**k")
         if not self.n_original <= self.n_padded < 2 * self.n_original:
@@ -234,11 +249,56 @@ def _tile(row: np.ndarray, filled: int, width: int) -> int:
     return filled
 
 
-def _period_lp(row: np.ndarray, p: float, n: int, work: np.ndarray) -> float:
-    """``lp_norm`` of ``row`` repeated to 2**n entries, from the one period
-    ``row`` (2**j >= 128 entries, or all 2**n), bit for bit."""
-    return _blocks_lp(lambda: (np.abs(row, out=work[:row.size]),), 1 << n, p,
-                      (1 << n) // row.size)
+def _period_width(period: int, n: int) -> int:
+    """Entries that stand for a row of 2**n repeating every ``period``: one
+    period, at least 128 (numpy's pairwise leaves), at most 2**n."""
+    return max(period, min(1 << _LEAF_BITS, 1 << n))
+
+
+def _period_lp(table: np.ndarray, p: float, n: int, work: np.ndarray, run: int = 1,
+               index: np.ndarray | None = None) -> float:
+    """``lp_norm`` of a row of 2**n entries, bit for bit, from ``table``: the
+    row repeats ``table`` with each entry taken ``run`` times (a power of
+    two), or it is ``table`` gathered by ``index``. |table|**p is raised once,
+    laid out in ``work`` over one period of at least 128 entries (or 2**n),
+    and that period's sum counts 2**n / period times."""
+    width = index.size if index is not None else _period_width(table.size * run, n)
+    row = work[:width]
+
+    def spread(v):
+        if index is not None:
+            return np.take(v, index, out=row, mode="clip")   # "raise" buffers out
+        if run > 1:
+            row[:v.size * run].reshape(v.size, run)[:] = v[:, None]
+        _tile(work, v.size * run, width)
+        return row
+
+    # a table in runs of one entry is raised in place in ``work`` itself
+    powers = work[:table.size] if run == 1 and index is None else None
+    return _blocks_lp(lambda: (np.abs(table, out=powers),), 1 << n, p,
+                      (1 << n) // width, spread)
+
+
+def _block_table(out: np.ndarray, scratch: np.ndarray, half_sib: np.ndarray, own: int,
+                 sib_low: bool) -> np.ndarray:
+    """sum_i z_i * half_sib over the block's ``own`` coordinates, added from
+    0.0 in increasing i, as a table in ``out`` over the sign patterns of its
+    parent's coordinates: half_sib's sibling patterns below the block's own
+    where ``sib_low``, above them otherwise. Built by prefix doubling, one
+    coordinate at a time, T -> [T - half_sib, T + half_sib], each step read
+    from one of ``out`` and ``scratch`` and written to the other, so no ufunc
+    reads and writes one buffer."""
+    low, high = (half_sib.size, 1) if sib_low else (1, half_sib.size)
+    hs = half_sib.reshape(high, 1, low)
+    src, dst = (out, scratch) if own % 2 == 0 else (scratch, out)
+    src[:half_sib.size] = 0.0
+    for j in range(own):
+        t = src[:half_sib.size << j].reshape(high, 1 << j, low)
+        doubled = dst[:half_sib.size << (j + 1)].reshape(high, 2, 1 << j, low)
+        np.subtract(t, hs, out=doubled[:, 0])       # z_i = -1 where bit j is clear
+        np.add(t, hs, out=doubled[:, 1])
+        src, dst = dst, src
+    return out[:half_sib.size << own]
 
 
 def verify_level_bounds(params: ChaosParams, p: float) -> LevelBoundsReport:
@@ -249,11 +309,10 @@ def verify_level_bounds(params: ChaosParams, p: float) -> LevelBoundsReport:
         raise ValueError(f"p must be finite and >= 2, got {p}")
     n = params.n
     final = dyadic_sum_moment_bound(p, n, params.beta, params.M).value
-    cols = sign_matrix(n).T                  # row i: z_i over every sign vector
+    cols = sign_matrix(n).T          # rows [0, m) over 2**m entries: the m-sign patterns
     tree = build_partition(n)
     beta, half_beta = params.beta, float(0.5 * params.beta)
-    level_values, half_sib, block_values, work = np.empty((4, 1 << n))
-    sib_row = np.empty(1 << n, dtype=np.int8)   # |a sum of at most 20 signs| <= 20
+    level_values, block_values, work = np.empty((3, 1 << n))
 
     term_slacks = []
     block_slacks = []
@@ -273,44 +332,42 @@ def verify_level_bounds(params: ChaosParams, p: float) -> LevelBoundsReport:
                 term_slacks.extend([term_bound] * len(real))
                 block_slacks.append(block_bound)
                 continue
-            # z_j repeats every 2**(j+1) entries, so the rows of this block and
-            # its sibling repeat every 2**stop, stop the parent block's real
-            # end; they are taken over one such period of at least 128
-            stop = ((block.start >> (l + 1)) + 1) << (l + 1)
-            width = 1 << min(max(stop, _LEAF_BITS), n)
-            hs, bv, tmp = half_sib[:width], block_values[:width], work[:width]
+            # the block's rows read its parent's coordinates [parent, hi)
+            # alone: tables over their sign patterns, in runs of 2**parent
+            parent = (block.start >> (l + 1)) << (l + 1)
             s = ((block.start >> l) ^ 1) << l
-            sib = np.add.reduce(cols[s:s + m, :width], axis=0, dtype=np.int8,
-                                out=sib_row[:width])
+            hi = max(real.stop, s + m)
+            half_sib = half_beta * np.add.reduce(cols[:m, :1 << m], axis=0, dtype=np.int8)
+            bv = _block_table(block_values, work, half_sib, len(real), s < block.start)
             # term_i = z_i * (beta/2) * sib and |z_i| = 1, so every term of
-            # the block has the norm of (beta/2) * sib
-            np.multiply(half_beta, sib, out=hs)
-            bv.fill(0.0)
-            for i in real:
-                bv += np.multiply(cols[i, :width], hs, out=tmp)
-            # the terms read only the sibling's coordinates [s, s + m), so they
-            # repeat every 2**(s + m) entries, within the block's period
-            terms = hs[:1 << min(max(s + m, _LEAF_BITS), n)]
+            # the block has the norm of (beta/2) * sib, in runs of 2**s
             if l == 0:      # every level-0 term and block is +-beta/2 at each entry
-                norm0 = _period_lp(terms, p, n, work) if norm0 is None else norm0
+                norm0 = _period_lp(half_sib, p, n, work, 1 << s) if norm0 is None else norm0
                 term_norm = block_norm = norm0
             else:
-                term_norm = _period_lp(terms, p, n, work)
-                block_norm = _period_lp(bv, p, n, work)
+                term_norm = _period_lp(half_sib, p, n, work, 1 << s)
+                block_norm = _period_lp(bv, p, n, work, 1 << parent)
             term_slacks.extend([term_bound - term_norm] * len(real))
             block_slacks.append(block_bound - block_norm)
             # every block so far repeats within ``filled``: tiled, each entry
             # of the level sum sees the adds of the full rows, in their order
+            width = _period_width(1 << hi, n)
             filled = _tile(level_values, filled, width)
-            lv = level_values[:width]
-            lv += bv
+            lv = level_values[:width].reshape(-1, bv.size, 1 << parent)
+            lv += bv[:, None]
         level_norms.append(_period_lp(level_values[:filled], p, n, work))
         level_slacks.append(level_bound - level_norms[-1])
 
-    total = level_values                  # float64: an int M or p overflows the int8 S
-    total[:] = np.add.reduce(cols, axis=0, dtype=np.int8, out=sib_row)
-    sum_norm = lp_norm(chaos_collapsed(params)(total, half_sib, block_values), p, work)
-    chain_value = params.M * lp_norm(total, p, work) + float(np.sum(level_norms))
+    # S = 2 * popcount - n at each sign vector, gathered from its n + 1 values
+    # by the popcount, built by the same doubling
+    popcount = block_values.view(np.intp)
+    popcount[0] = 0
+    for j in range(n):
+        np.add(popcount[:1 << j], 1, out=popcount[1 << j:2 << j])
+    s_values = np.arange(-n, n + 1, 2, dtype=np.float64)
+    sum_norm = _period_lp(chaos_collapsed(params)(s_values), p, n, work, index=popcount)
+    chain_value = (params.M * _period_lp(s_values, p, n, work, index=popcount)
+                   + float(np.sum(level_norms)))
     chain_bound = (4.0 * params.M * sqrt(p * n)
                    + 6.0 * _SQRT2 * p * tree.n_padded * beta * tree.k)
 

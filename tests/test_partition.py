@@ -86,8 +86,10 @@ class TestBuildPartition:
         ((2.5, 4, 2), "^n must be an integer, got 2.5$"),
         ((4, 4.0, 2), "^n_padded must be an integer, got 4.0$"),
         ((4, 4, 2.0), "^k must be an integer, got 2.0$"),
+        ((1, 1, -1), "^k must be >= 0, got -1$"),
+        ((1, -1, 0), "^n_padded must be >= 0, got -1$"),
     ], ids=["padding", "n_below_one", "not_two_to_the_k", "non_integer_n",
-            "non_integer_n_padded", "non_integer_k"])
+            "non_integer_n_padded", "non_integer_k", "negative_k", "negative_n_padded"])
     def test_invalid_construction_rejected(self, fields, message):
         with pytest.raises(ValueError, match=message):
             PartitionTree(*fields)
@@ -327,13 +329,16 @@ class TestVerifierMemory:
         assert warm_traced_peak(lambda: verify_telescoping(params)) <= rows
         assert warm_traced_peak(lambda: verify_level_bounds(params, 8.0)) <= rows
 
-    def test_level_bounds_hold_their_four_work_rows(self):
-        # the exact sum norm takes M*S + (beta/2)*(S*S - n) into two of the
-        # work rows; evaluated afresh it would add two rows of temporaries
-        row = 8 << 16
-        peak = warm_traced_peak(lambda: verify_level_bounds(ChaosParams(16, 1.0, 0.3), 8.0))
-        assert 4 * row <= peak < 5 * row
-
+    @pytest.mark.parametrize("n", [16, 18])
+    def test_level_bounds_hold_their_three_work_rows(self, n):
+        # three float64 rows of 2^n: the level sums, the block tables, and
+        # the powers; the exact sum and S are gathered from n + 1 values by a
+        # popcount index held in the block row. The sibling tables add at
+        # most 2^16 entries (a quarter row at n = 18); any temporary of 2^n
+        # would cross the fourth row
+        row = 8 << n
+        peak = warm_traced_peak(lambda: verify_level_bounds(ChaosParams(n, 1.0, 0.3), 8.0))
+        assert 3 * row <= peak < 4 * row
 
     @pytest.mark.parametrize("verify", [lambda params: verify_level_bounds(params, 8.0),
                                         verify_telescoping], ids=["level_bounds", "telescoping"])
@@ -445,16 +450,21 @@ class TestSymmetryReductions:
 
 
 class TestPeriodRows:
-    """``verify_level_bounds`` takes each block's rows over one period, at
-    least 128 entries, and their norms with a repeat factor. Held here with
-    ``==``, norm for norm, to the full-row loop it replaces, written out from
-    the enumeration: around the 128-entry floor (n = 7, 8) and above the
-    golden grid (n = 17..19)."""
+    """``verify_level_bounds`` raises each term, block and sum row only over
+    the distinct values of its table, lays them out over one period of at
+    least 128 entries, and takes their norms with a repeat factor. Held here
+    with ``==``, norm for norm, to the full-row loop it replaces, written out
+    from the enumeration: around the 128-entry floor (n = 7, 8), above the
+    golden grid (n = 17..20), and where |v|^p leaves the float range (every p
+    at beta = 1e200, p = 1000 at beta = 1), so the rescaled pass runs too."""
 
-    @pytest.mark.parametrize("n", [7, 8, 17, 18, 19])
-    @pytest.mark.parametrize("M,beta", [(1.0, 1.0), (0.1, 0.3)])
-    def test_norms_equal_the_full_row_loop(self, monkeypatch, n, M, beta):
-        orders = (2.0, 3.5)
+    @pytest.mark.parametrize("n,M,beta,orders", [
+        pytest.param(n, M, beta, orders, id=f"{n}-{M}-{beta}-p{'_'.join(map(str, orders))}")
+        for n, M, beta, orders in (
+            *((n, M, beta, (2, 3.5, 8)) for n in (7, 8, 17, 18, 19, 20)
+              for M, beta in ((1.0, 1.0), (0.1, 0.3)) if n < 20 or M == 1.0),
+            (12, 0.0, 1e200, (2, 3.5, 8)), (17, 1.0, 1.0, (1000,)))])
+    def test_norms_equal_the_full_row_loop(self, monkeypatch, n, M, beta, orders):
         expected = {p: [] for p in orders}
         tree, sums = block_sums(n)
         for l in range(tree.k):
@@ -475,37 +485,37 @@ class TestPeriodRows:
                 level += values
             for p in orders:
                 expected[p].append(lp_norm(level, p))
+        total = sums[-1][0].astype(np.float64)      # S, then sum_i g_i = M*S + (beta/2)(S*S - n)
+        chaos_sum = M * total + 0.5 * beta * (total * total - n)
+        for p in orders:
+            expected[p] += [lp_norm(chaos_sum, p), lp_norm(total, p)]
 
         taken = []
+        norm = partition._period_lp
 
-        def recorded(norm):
-            def call(*args):
-                taken.append(norm(*args))
-                return taken[-1]
-            return call
+        def recorded(*args, **kwargs):
+            taken.append(norm(*args, **kwargs))
+            return taken[-1]
 
-        monkeypatch.setattr(partition, "lp_norm", recorded(partition.lp_norm))
-        monkeypatch.setattr(partition, "_period_lp", recorded(partition._period_lp))
+        monkeypatch.setattr(partition, "_period_lp", recorded)
         for p in orders:
             taken.clear()
             verify_level_bounds(ChaosParams(n, M, beta), p)
-            # then the sum norm and ||S||_p, from full rows
-            assert taken[:-2] == expected[p]
-            assert len(taken) == len(expected[p]) + 2
+            assert taken == expected[p]
 
-    @pytest.mark.parametrize("n,full", [(16, 15), (18, 7)])
+    @pytest.mark.parametrize("n,full", [(16, 6), (18, 4)])
     def test_full_width_norms(self, monkeypatch, n, full):
-        # rows of all 2**n entries: the exact sum, ||S||_p, and the term,
-        # block and level rows that read the last coordinate, z_(n-1)
+        # tables of all 2**n entries, each raised to p in full: the level
+        # rows that read the last coordinate, z_(n-1), and the top level's two
+        # block rows, whose parent starts at 0; every other row is raised on
+        # its distinct values alone
         lengths = []
+        norm = partition._period_lp
 
-        def recorded(norm):
-            def call(row, *args):
-                lengths.append(row.size)
-                return norm(row, *args)
-            return call
+        def recorded(table, *args, **kwargs):
+            lengths.append(table.size)
+            return norm(table, *args, **kwargs)
 
-        monkeypatch.setattr(partition, "lp_norm", recorded(partition.lp_norm))
-        monkeypatch.setattr(partition, "_period_lp", recorded(partition._period_lp))
+        monkeypatch.setattr(partition, "_period_lp", recorded)
         verify_level_bounds(ChaosParams(n, 1.0, 1.0), 8.0)
         assert lengths.count(1 << n) == full
