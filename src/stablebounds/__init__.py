@@ -20,8 +20,7 @@ from .lab import (Dataset, Example, FiniteDistribution, LearnerSpec,
 from .oracle import (MomentSpec, MonteCarloNorm, SignFunction, collapse_lp,
                      empirical_tail, enumerate_lp, hitczenko_functional,
                      latala_allones_estimate, mc_lp)
-from .partition import (PartitionTree, block_of, build_partition,
-                        telescope_term_generic, verify_level_bounds,
-                        verify_telescoping)
+from .partition import (PartitionTree, block_of, telescope_term_generic,
+                        verify_level_bounds, verify_telescoping)
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .oracle import lp_norm
+from .oracle import _check_int, _check_real, _require_nonneg, lp_norm
 
 EXPLICIT = "explicit"
 SHAPE = "shape"
@@ -35,22 +35,15 @@ _FIT_RTOL = 1e-13   # vertex feasibility and tie tolerance of fit_tail_coefficie
 
 def log_or_one(x: float) -> float:
     """Natural log clipped below at 1 (the convention used by every bound)."""
-    if x <= 0:
+    if not x > 0:
         raise ValueError(f"log_or_one requires x > 0, got {x}")
     return max(log(x), 1.0)
 
 
 def ceil_log2(n: int) -> int:
     """ceil(log2 n), evaluated as 1 for n = 1; exact in integer arithmetic."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_int("n", n)
     return max((n - 1).bit_length(), 1)
-
-
-def _require_nonneg(**params: float) -> None:
-    for name, value in params.items():
-        if not np.isfinite(value) or value < 0:
-            raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 def _require_delta(delta) -> float:
@@ -75,8 +68,7 @@ class BoundInputs:
     delta: float | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        _check_int("n", self.n)
         _require_nonneg(gamma=self.gamma, L=self.L)
         if self.delta is not None:
             _require_delta(self.delta)
@@ -91,8 +83,7 @@ class BoundValue:
     constant_convention: str
 
     def __post_init__(self):
-        if not np.isfinite(self.value) or self.value < 0:
-            raise ValueError(f"bound value must be finite and >= 0, got {self.value}")
+        _check_real("bound value", self.value, 0)
         if self.constant_convention not in (EXPLICIT, SHAPE):
             raise ValueError(f"unknown convention {self.constant_convention!r}")
 
@@ -134,8 +125,8 @@ def dyadic_sum_moment_bound(p: float, n: int, beta: float, M: float) -> BoundVal
 
     Explicit constants.
     """
-    if not p >= 2:
-        raise ValueError(f"p must be >= 2, got {p}")
+    _check_real("p", p, 2, finite=False)
+    _check_int("n", n)
     _require_nonneg(beta=beta, M=M)
     value = (12 * _SQRT2 * p * n * beta * ceil_log2(n)
              + (4 * M * sqrt(p * n) if M else 0.0))    # not 0 * inf once p * n overflows
@@ -175,8 +166,7 @@ def moments_from_tail(a: float, b: float, p: float) -> float:
     if |Y| <= a*sqrt(log(e/d)) + b*log(e/d) w.p. 1-d for all d, then
     ||Y||_p <= 3*sqrt(p)*a + 9*p*b for all p >= 1."""
     _require_nonneg(a=a, b=b)
-    if not isfinite(p) or p < 1:
-        raise ValueError(f"p must be finite and >= 1, got {p}")
+    _check_real("p", p, 1)
     return 3 * sqrt(p) * a + 9 * p * b
 
 
@@ -204,10 +194,8 @@ def classical_moment_bound(kind: str, *, n: int, p: float,
         mz          3*sqrt(2*n*p)*(n^-1 * sum ||X_i||_p^p)^(1/p)
                                           Marcinkiewicz-Zygmund
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not p >= 2:
-        raise ValueError(f"p must be >= 2, got {p}")
+    _check_int("n", n)
+    _check_real("p", p, 2, finite=False)
     if kind == "mcdiarmid":
         if beta is None:
             raise ValueError("mcdiarmid requires beta")
@@ -233,16 +221,14 @@ def classical_moment_bound(kind: str, *, n: int, p: float,
 def second_moment_bound(n: int, beta: float, M: float) -> float:
     """Second-moment bound using weak pairwise correlation (explicit):
     ||sum g_i||_2 <= (1 + 2*sqrt(2))*n*beta + sqrt(n)*M."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_int("n", n)
     _require_nonneg(beta=beta, M=M)
     return (1 + 2 * _SQRT2) * n * beta + sqrt(n) * M
 
 
 def variance_bound(n: int, gamma: float, L: float) -> float:
     """Shape bound on Var(n*(R - R_emp)): n^2*gamma^2 + n*L^2."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_int("n", n)
     _require_nonneg(gamma=gamma, L=L)
     return n ** 2 * gamma ** 2 + n * L ** 2
 

@@ -24,12 +24,11 @@ from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import isfinite, sqrt
-from numbers import Integral
 
 import numpy as np
 
-from .oracle import (SignFunction, _check_collapse_n, _memo, _sign_sum, _support,
-                     collapse_lp, sign_matrix)
+from .oracle import (SignFunction, _check_collapse_n, _check_int, _check_real, _memo,
+                     _require_nonneg, _sign_sum, _support, collapse_lp, sign_matrix)
 
 
 @dataclass(frozen=True)
@@ -41,12 +40,8 @@ class ChaosParams:
     beta: float
 
     def __post_init__(self):
-        if not isinstance(self.n, Integral) or self.n < 1:
-            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
-        for name in ("M", "beta"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
+        _check_int("n", self.n)
+        _require_nonneg(M=self.M, beta=self.beta)
 
     @property
     def uniform_bound(self) -> float:
@@ -217,8 +212,7 @@ def lower_ratio(params: ChaosParams, p: float) -> float:
 def tail_probability(params: ChaosParams, t: float) -> float:
     """Exact P(|sum_i g_i| >= t) via binomial weights (any n up to the collapse
     cap)."""
-    if not t >= 0:
-        raise ValueError(f"threshold must be >= 0, got {t}")
+    _check_real("threshold", t, 0, finite=False)
     _check_collapse_n(params.n)
     support = _support(chaos_collapsed(params), params.n)   # shared with chaos_lp
     return float(support.weights[support.vals >= t].sum() / support.total)
@@ -234,8 +228,7 @@ def paley_zygmund_certificate(params: ChaosParams, p: float) -> TailCertificate:
     computed exactly through the binomial collapse, so the certificate
     scales far beyond enumeration range.
     """
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p}")
+    _check_real("p", p, 2, finite=False)
     norm_p = chaos_lp(params, p)
     norm_2p = chaos_lp(params, 2 * p)
     lhs = tail_probability(params, 0.5 * norm_p)

@@ -32,6 +32,7 @@ from . import bounds as bd
 from . import chaos as ch
 from . import lab
 from . import partition as pt
+from .oracle import _check_seed
 
 GENERATOR_ID = "philox4x64"
 
@@ -86,16 +87,24 @@ def _coerce(key: str, value):
     if key == "gamma":
         return value if isinstance(value, str) else float(value)
     if key in _INT_KEYS:
-        try:
-            iv = int(value)
-        except ValueError:                      # '2.5' or nan; inf overflows
-            iv = None
-        if iv is None or iv != float(value):
-            raise ConfigError(f"{key} must be an integer, got {value!r}")
+        iv = _integer(key, value)
         if iv < 1:
             raise ConfigError(f"{key} must be >= 1, got {iv}")
         return iv
     return float(value)
+
+
+def _integer(key: str, value) -> int:
+    """An integer setting: an int, a float equal to one, or a string that
+    ``int`` reads; 2.5, nan, '2.5' and 'abc' are refused, not truncated (inf
+    overflows, an ArithmeticError)."""
+    try:
+        iv = int(value)
+    except (TypeError, ValueError):
+        iv = None
+    if iv is None or (isinstance(value, float) and iv != value):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return iv
 
 
 def _sort_key(point: tuple):
@@ -179,7 +188,7 @@ def _row_learn(point, cfg, seed):
     reps = int(cfg["reps"])
     table = lab.gap_quantiles(spec, dist, n, reps, [delta], seed=seed)
     row = table.rows[0]
-    sandwich_reps = min(reps, int(cfg.get("sandwich_reps", 500)))
+    sandwich_reps = min(reps, _integer("sandwich_reps", cfg.get("sandwich_reps", 500)))
     sweep = lab.sandwich_sweep(spec, dist, n, sandwich_reps, seed=_mix_seed(seed, 1))
     return {"reps": reps, "seed": seed, "gamma": table.gamma,
             "quantile": row.quantile, "bousquet02": row.bousquet02,
@@ -224,12 +233,13 @@ def run(config: dict) -> tuple[list[dict], int]:
         if provenance == "montecarlo":
             if "seed" not in config:
                 raise ConfigError(f"command {command!r} is stochastic and needs a seed")
-            if int(config.get("reps", 0)) < 1000:
+            if _integer("reps", config.get("reps", 0)) < 1000:
                 raise ConfigError("learn requires reps >= 1000")
         grid = config.get("grid") or {}
         points = build_grid(command, grid)
         threads = _resolve_threads(config.get("threads", 0))
-        seed = int(config.get("seed", 0))
+        seed = _integer("seed", config.get("seed", 0))
+        _check_seed(seed)
 
         def work(item):
             index, point = item
@@ -253,10 +263,10 @@ def run(config: dict) -> tuple[list[dict], int]:
 
 
 def _resolve_threads(value) -> int:
-    threads = int(value)
+    threads = _integer("threads", value)
     if threads == 0:
         env = os.environ.get("WORKBENCH_THREADS", "")
-        threads = int(env) if env.strip() else (os.cpu_count() or 1)
+        threads = _integer("WORKBENCH_THREADS", env) if env.strip() else (os.cpu_count() or 1)
     if threads < 1:
         raise ConfigError(f"threads must be >= 0, got {threads}")
     return threads

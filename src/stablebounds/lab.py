@@ -32,9 +32,9 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import (BoundInputs, _require_nonneg, ceil_log2, generalization_bound,
-                     tail_from_moments, variance_bound)
-from .oracle import _check_seed
+from .bounds import (BoundInputs, ceil_log2, generalization_bound, tail_from_moments,
+                     variance_bound)
+from .oracle import _check_int, _check_real, _check_seed, _require_nonneg
 
 Predictor = Callable[[object], object]
 
@@ -137,8 +137,7 @@ class LearnerSpec:
     batch_losses: Callable[[np.ndarray, FiniteDistribution, bool], tuple] | None = None
 
     def __post_init__(self):
-        if not self.loss_bound >= 0:
-            raise ValueError(f"loss_bound must be >= 0, got {self.loss_bound}")
+        _check_real("loss_bound", self.loss_bound, 0, finite=False)
 
 
 def replace(dataset: Dataset, i: int, example: Example) -> Dataset:
@@ -166,8 +165,9 @@ def empirical_risk(spec: LearnerSpec, predictor: Predictor, dataset: Dataset) ->
 
 def gap(spec: LearnerSpec, dataset: Dataset, dist: FiniteDistribution) -> float:
     """n * (risk - empirical risk) of the fitted predictor."""
-    h = spec.fit(dataset)
     n = len(dataset)
+    _check_int("n", n)
+    h = spec.fit(dataset)
     return n * (risk(spec, h, dist) - empirical_risk(spec, h, dataset))
 
 
@@ -175,8 +175,7 @@ def gap_loo(spec: LearnerSpec, dataset: Dataset, dist: FiniteDistribution) -> fl
     """n * (risk - leave-one-out risk); each point is scored by the
     predictor trained without it."""
     n = len(dataset)
-    if n < 2:
-        raise ValueError(f"leave-one-out needs n >= 2, got {n}")
+    _check_int("n", n, 2)
     h = spec.fit(dataset)
     loo = sum(spec.loss(spec.fit(dataset[:i] + dataset[i + 1:])(e.x), e.y)
               for i, e in enumerate(dataset)) / n
@@ -248,9 +247,8 @@ def _replace_one(spec: LearnerSpec, dist: FiniteDistribution, idx: np.ndarray,
     return gaps, q * (_ordered_sum(q * refit_losses, axis=2) - own)
 
 
-def _check_n(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+def _check_n(n: int, lo: int = 1) -> None:
+    _check_int("n", n, lo)
     if n > _MAX_N:
         raise ValueError(f"n = {n} exceeds the sample size cap {_MAX_N}")
 
@@ -277,7 +275,8 @@ def _draws(dist: FiniteDistribution, n: int, reps: int, rng: np.random.Generator
 def _terms(spec: LearnerSpec, dataset: Dataset, dist: FiniteDistribution) -> np.ndarray:
     """The replace-one terms of one dataset, shape (n, K): by the kernel
     when it can take them, else by the reference."""
-    if not dataset or any(e not in dist.support for e in dataset):
+    _check_int("n", len(dataset))
+    if any(e not in dist.support for e in dataset):
         return replace_one_terms(spec, dataset, dist)
     idx = np.array([[dist.support.index(e)] for e in dataset])
     return _replace_one(spec, dist, idx)[1][:, :, 0]
@@ -359,6 +358,7 @@ def sandwich_sweep(spec: LearnerSpec, dist: FiniteDistribution, n: int,
     "analytic"); a value passed in is reported as "given".
     """
     _check_n(n)
+    _check_int("reps", reps, 0)
     gamma_mode = "analytic" if gamma is None else "given"
     gamma = _gamma_or_analytic(spec, n, gamma)
     rng = _philox(seed)
@@ -399,8 +399,7 @@ def estimate_gamma(spec: LearnerSpec, dist: FiniteDistribution, n: int,
     draws S, i, z' and (x, y) in that order; S, z' and (x, y) on
     ``Generator.choice``'s stream, inverse CDF on ``rng.random``."""
     _check_n(n)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_int("trials", trials)
     if mode not in ("auto", "exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     k = len(dist.support)
@@ -489,11 +488,9 @@ def correlation_check(spec: LearnerSpec, dist: FiniteDistribution, n: int,
     """Estimate E[g_i*g_j] for sampled index pairs and Var(gap); assert the
     weak-correlation bound 4*gamma^2 and the variance shape bound, both with
     a 3-standard-error Monte Carlo margin."""
-    if reps < 1000:
-        raise ValueError(f"reps must be >= 1000, got {reps}")
-    if n < 2:
-        raise ValueError(f"need n >= 2 for index pairs, got {n}")
-    _check_n(n)
+    _check_int("reps", reps, 1000)
+    _check_n(n, 2)
+    _check_int("n_pairs", n_pairs)
     gamma = _gamma_or_analytic(spec, n, gamma)
     rng = _philox(seed)
     pair_count = min(n_pairs, n * (n - 1) // 2)
@@ -566,8 +563,7 @@ def gap_quantiles(spec: LearnerSpec, dist: FiniteDistribution, n: int,
     slack, and is capped at the trivial n*L.
     """
     _check_n(n)
-    if reps < 1000:
-        raise ValueError(f"reps must be >= 1000, got {reps}")
+    _check_int("reps", reps, 1000)
     gamma = _gamma_or_analytic(spec, n, gamma)
     gaps = collect_gaps(spec, dist, n, reps, seed)
     abs_gaps = np.abs(gaps)
@@ -597,6 +593,7 @@ def collect_gaps(spec: LearnerSpec, dist: FiniteDistribution, n: int,
                  reps: int, seed: int) -> np.ndarray:
     """Scaled gaps over ``reps`` seeded replicates (one fit each)."""
     _check_n(n)
+    _check_int("reps", reps, 0)
     rng = _philox(seed)
     out = np.empty(reps)
     for rows, idx in _draws(dist, n, reps, rng):
@@ -732,8 +729,7 @@ def clipped_mean_learner() -> LearnerSpec:
 def shrunk_mean_learner(lam: float = 1.0) -> LearnerSpec:
     """Ridge-style shrunk mean, mean/(1+lam) clipped to [0,1];
     gamma = 1/(n*(1+lam))."""
-    if not lam >= 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
+    _check_real("lam", lam, 0, finite=False)
     return _mean_learner("shrunk_mean", lam=lam)
 
 

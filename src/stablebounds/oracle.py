@@ -32,10 +32,6 @@ has fewer than 128 columns (``_sign_sum``): a sum of at most 127 signs is
 exact there, so its float64 values are those of a float64 sum, and the int8
 reduction is about 10x faster on the enumeration's blocks.
 
-``lp_norm`` takes |v| into an optional float64 scratch row and raises it
-there in place (``v **= p``), so a caller that takes many norms of one
-length reuses one row and never has its input written.
-
 The log binomial weights come from ``_lgam``, a numpy port of cephes
 ``lgam`` at integer x, bit for bit scipy's ``gammaln``, so no scipy submodule
 is loaded at run time. It takes log x from ``math.log``, libm's log as in
@@ -92,10 +88,7 @@ class SignFunction:
     name: str = ""
 
     def __post_init__(self):
-        if not isinstance(self.arity, Integral):
-            raise ValueError(f"arity must be an integer, got {self.arity!r}")
-        if self.arity < 1:
-            raise ValueError(f"arity must be >= 1, got {self.arity}")
+        _check_int("arity", self.arity)
 
 
 @dataclass(frozen=True)
@@ -107,10 +100,8 @@ class MomentSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.p >= 1:
-            raise ValueError(f"p must be >= 1, got {self.p}")
-        if self.reps < 100:
-            raise ValueError(f"montecarlo requires reps >= 100, got {self.reps}")
+        _check_real("p", self.p, 1, finite=False)
+        _check_int("reps", self.reps, 100)
         _check_seed(self.seed)
 
 
@@ -118,6 +109,27 @@ def _check_seed(seed: int) -> None:
     """A Philox key is a uint64."""
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    _check_int("seed", seed, 0)
+
+
+def _check_int(name: str, value, lo: int = 1) -> None:
+    """A size, count or index: an ``Integral`` >= lo."""
+    if not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {value}")
+
+
+def _check_real(name: str, value, lo: float, finite: bool = True) -> None:
+    """An order, threshold or scale: a number >= lo, and finite unless told
+    otherwise. NaN fails it, as it fails every comparison."""
+    if not (value >= lo and (value < np.inf or not finite)):
+        raise ValueError(f"{name} must be {'finite and ' if finite else ''}>= {lo}, got {value}")
+
+
+def _require_nonneg(**params: float) -> None:
+    for name, value in params.items():
+        _check_real(name, value, 0)
 
 
 @dataclass(frozen=True)
@@ -157,6 +169,7 @@ def sum_function(arity: int) -> SignFunction:
 def coordinate_function(arity: int, i: int) -> SignFunction:
     if not 0 <= i < arity:
         raise ValueError(f"coordinate {i} out of range for arity {arity}")
+    _check_int("i", i, 0)
     return SignFunction(arity, lambda rows: rows[:, i].astype(np.float64), f"z[{i}]")
 
 
@@ -212,8 +225,7 @@ def _sign_columns(n: int) -> np.ndarray:
 
 def sign_matrix(n: int) -> np.ndarray:
     """All 2**n sign vectors as a read-only (2**n, n) view of +-1 (n <= 20)."""
-    if not isinstance(n, Integral) or n < 0:
-        raise ValueError(f"arity must be an integer >= 0, got {n!r}")
+    _check_int("arity", n, 0)
     if n > _CACHED_ARITY:
         raise ValueError(f"arity {n} exceeds sign matrix cap {_CACHED_ARITY}")
     return _sign_columns(n).T
@@ -285,17 +297,15 @@ def _blocks_lp(blocks: Callable[[], Iterable[np.ndarray]], count: int, p: float,
     return float(mean ** (1.0 / p))
 
 
-def lp_norm(values: np.ndarray, p: float, work: np.ndarray | None = None) -> float:
-    """Range-safe (mean |v|^p)^(1/p) of one array, in float64. ``work``, a
-    float64 array of the shape of ``values``, takes |v| in place of a fresh
-    array; ``values`` itself is never written."""
-    return _blocks_lp(lambda: (np.abs(values, out=work, dtype=np.float64),), values.size, p)
+def lp_norm(values: np.ndarray, p: float) -> float:
+    """Range-safe (mean |v|^p)^(1/p) of one array, in float64; ``values``
+    itself is never written."""
+    return _blocks_lp(lambda: (np.abs(values, dtype=np.float64),), values.size, p)
 
 
 def enumerate_lp(f: SignFunction, p: float) -> float:
     """Exact, range-safe (2^-n * sum_z |f(z)|^p)^(1/p) over the full hypercube."""
-    if not p >= 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    _check_real("p", p, 1, finite=False)
     if f.arity > ENUMERATION_CAP:
         raise ValueError(f"arity {f.arity} exceeds enumeration cap {ENUMERATION_CAP}")
     return _blocks_lp(lambda: _abs_blocks(f), 1 << f.arity, p)
@@ -340,6 +350,7 @@ def _lgam(m: int) -> np.ndarray:
 def log_binomial_weights(n: int) -> np.ndarray:
     """log of C(n,k) * 2^-n for k = 0..n, as a read-only array: log n! -
     log k! - log (n - k)! - n log 2 from one ``_lgam`` over 1..n + 1."""
+    _check_int("n", n, 0)
     _check_collapse_n(n)
     lg = _lgam(n + 1)                   # lg[k] = log k!
     w = lg[n] - lg
@@ -363,10 +374,8 @@ def collapse_lp(g: Callable[[np.ndarray], np.ndarray], n: int, p: float) -> floa
     the terms within 746 of the largest are summed: any further below add
     exactly 0 to the log-sum, so the float is that of the full sum.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 1 <= p < np.inf:
-        raise ValueError(f"p must be finite and >= 1, got {p}")
+    _check_int("n", n)
+    _check_real("p", p, 1)
     _check_collapse_n(n)
     return _memo(_collapse_lp, g, n, p)
 
@@ -473,13 +482,11 @@ def mc_lp(f: SignFunction, spec: MomentSpec) -> MonteCarloNorm:
 
 def empirical_tail(f: SignFunction, t: float, reps: int = 100_000, seed: int = 0) -> float:
     """P(|f(Z)| >= t); exact by enumeration whenever the arity permits."""
-    if not t >= 0:
-        raise ValueError(f"threshold must be >= 0, got {t}")
+    _check_real("threshold", t, 0, finite=False)
     if f.arity <= ENUMERATION_CAP:
         hits = [float(np.count_nonzero(v >= t)) for v in _abs_blocks(f)]
         return _pairwise_sum(hits) / (1 << f.arity)
-    if reps < 100:
-        raise ValueError(f"reps must be >= 100, got {reps}")
+    _check_int("reps", reps, 100)
     _check_seed(seed)
     vals = _mc_values(f, reps, seed)
     return float(np.count_nonzero(vals >= t)) / reps
@@ -500,8 +507,7 @@ def hitczenko_functional(a, p: float) -> float:
         raise ValueError("weights must be a non-empty 1-d sequence")
     if not np.all(w >= 0):
         raise ValueError("weights must be non-negative")
-    if not p >= 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    _check_real("p", p, 1, finite=False)
     w = np.sort(w)[::-1]
     if p == np.inf:
         return float(w.sum())
@@ -512,8 +518,6 @@ def hitczenko_functional(a, p: float) -> float:
 def latala_allones_estimate(n: int, p: float) -> float:
     """Moment estimate p*n + p*sqrt(n) + sqrt(p)*n for the all-ones
     off-diagonal quadratic form sum_{i != j} Z_i Z_j (shape constants)."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if not p >= 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    _check_int("n", n, 2)
+    _check_real("p", p, 1, finite=False)
     return p * n + p * sqrt(n) + sqrt(p) * n

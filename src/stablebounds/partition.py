@@ -74,14 +74,13 @@ an independent cross-check of the terms (beta/2)*z_i*(sibling sum).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, sqrt
-from numbers import Integral
+from math import sqrt
 
 import numpy as np
 
 from .bounds import dyadic_sum_moment_bound
 from .chaos import ChaosParams, chaos_collapsed
-from .oracle import SignFunction, _blocks_lp, sign_matrix
+from .oracle import SignFunction, _blocks_lp, _check_int, _check_real, sign_matrix
 
 _SQRT2 = sqrt(2.0)
 GENERIC_CAP = 12   # nested enumeration blows up past desk scale
@@ -90,45 +89,27 @@ _LEAF_BITS = 7     # numpy's pairwise sum ends in leaves of 2**7 entries
 
 @dataclass(frozen=True)
 class PartitionTree:
-    """Dyadic partition scheme over indices 0..n_padded-1."""
+    """Dyadic partition scheme of n indices, padded to the next power of two:
+    indices 0..n_padded-1, n_padded = 2**k."""
 
-    n_original: int
-    n_padded: int
-    k: int                      # n_padded == 2**k
+    n: int
 
     def __post_init__(self):
-        _check_n(self.n_original)
-        for name in ("n_padded", "k"):
-            value = getattr(self, name)
-            if not isinstance(value, Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
-        if self.n_padded != 1 << self.k:
-            raise ValueError("n_padded must equal 2**k")
-        if not self.n_original <= self.n_padded < 2 * self.n_original:
-            raise ValueError("padding must be the next power of two")
+        _check_int("n", self.n)
+
+    @property
+    def k(self) -> int:
+        return (self.n - 1).bit_length()
+
+    @property
+    def n_padded(self) -> int:
+        return 1 << self.k
 
     def blocks(self, l: int) -> list[range]:
         if not 0 <= l <= self.k:
             raise ValueError(f"level {l} out of range 0..{self.k}")
         size = 1 << l
         return [range(a, a + size) for a in range(0, self.n_padded, size)]
-
-
-def _check_n(n) -> None:
-    """The size of a partition: an integer >= 1."""
-    if not isinstance(n, Integral):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-
-
-def build_partition(n: int) -> PartitionTree:
-    """Pad n to the next power of two and build the dyadic scheme."""
-    _check_n(n)
-    k = (n - 1).bit_length()
-    return PartitionTree(n_original=n, n_padded=1 << k, k=k)
 
 
 def block_of(tree: PartitionTree, i: int, l: int) -> range:
@@ -193,7 +174,7 @@ def verify_telescoping(params: ChaosParams) -> TelescopeReport:
     no rows; its one ``sign_matrix(n)`` call caps n at 20, as for every
     verifier. A NaN deviation is reported as NaN and fails."""
     n = params.n
-    tree = build_partition(n)
+    tree = PartitionTree(n)
     sign_matrix(n)
     M, half_beta = float(params.M), float(0.5 * params.beta)
     worst = 0.0
@@ -305,12 +286,11 @@ def verify_level_bounds(params: ChaosParams, p: float) -> LevelBoundsReport:
     """Exact-norm check of every bound used by the telescoping argument.
 
     p and the final bound are checked before any enumeration."""
-    if not isfinite(p) or p < 2:
-        raise ValueError(f"p must be finite and >= 2, got {p}")
+    _check_real("p", p, 2)
     n = params.n
     final = dyadic_sum_moment_bound(p, n, params.beta, params.M).value
     cols = sign_matrix(n).T          # rows [0, m) over 2**m entries: the m-sign patterns
-    tree = build_partition(n)
+    tree = PartitionTree(n)
     beta, half_beta = params.beta, float(0.5 * params.beta)
     level_values, block_values, work = np.empty((3, 1 << n))
 

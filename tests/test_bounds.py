@@ -238,8 +238,13 @@ class TestInputGuards:
          "unknown classical bound kind 'bernstein'"),
         (lambda: second_moment_bound(0, 1.0, 1.0), "n must be >= 1, got 0"),
         (lambda: variance_bound(0, 0.1, 1.0), "n must be >= 1, got 0"),
+        (lambda: ceil_log2(2.5), "n must be an integer, got 2.5"),
+        (lambda: dyadic_sum_moment_bound(2, 2.5, 1, 1), "n must be an integer, got 2.5"),
+        (lambda: BoundInputs(n=2.5), "n must be an integer, got 2.5"),
+        (lambda: log_or_one(math.nan), "log_or_one requires x > 0, got nan"),
     ], ids=["ceil_log2", "inputs_n", "convention", "classical_n", "mcdiarmid", "hoeffding",
-            "mz_count", "kind", "second_moment_n", "variance_n"])
+            "mz_count", "kind", "second_moment_n", "variance_n", "ceil_log2_not_integer",
+            "dyadic_n_not_integer", "inputs_n_not_integer", "log_or_one_nan"])
     def test_guard(self, call, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()

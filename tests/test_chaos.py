@@ -32,7 +32,8 @@ GRID = [ChaosParams(n, M, beta)
     (lambda: TailCertificate(2.0, 0.5, -0.1, 1.0, 1.0), "rhs must be >= 0, got -0.1"),
     (lambda: paley_zygmund_certificate(ChaosParams(4, 1.0, 1.0), 1.5),
      "p must be >= 2, got 1.5"),
-], ids=["lhs", "rhs", "pz_p"])
+    (lambda: ChaosParams(0, 1.0, 1.0), "n must be >= 1, got 0"),
+], ids=["lhs", "rhs", "pz_p", "params_n"])
 def test_input_guard(call, message):
     """Guards that no other test reaches, each with its message."""
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

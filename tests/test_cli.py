@@ -17,6 +17,8 @@ from stablebounds.cli import ConfigError, main, run
 from stablebounds.oracle import _collapse_lp
 
 DATA = Path(__file__).parent / "data"
+# a valid learn run but for the setting under test
+LEARN = {"reps": 1000, "grid": {"learner": ["constant"], "n": [10], "delta": [0.1]}}
 
 
 def run_main(args):
@@ -155,10 +157,23 @@ class TestConfigHandling:
          "n must be an integer, got nan"),
         (None, ["tails", "--a", "1", "--b", "1", "--p", "2", "--delta", "0.1",
                 "--threads", "-1"], "threads must be >= 0, got -1"),
+        ({"seed": 1.5, **LEARN}, ["learn"], "seed must be an integer, got 1.5"),
+        ({"seed": 1, **LEARN, "reps": 1000.5}, ["learn"], "reps must be an integer, got 1000.5"),
+        ({"threads": 1.5, "grid": {"a": [1], "b": [0.5], "p": [2], "delta": [0.1]}},
+         ["tails"], "threads must be an integer, got 1.5"),
+        ({"seed": 1, "sandwich_reps": 2.9, **LEARN}, ["learn"],
+         "sandwich_reps must be an integer, got 2.9"),
+        ({"seed": 1, "sandwich_reps": "abc", **LEARN}, ["learn"],
+         "sandwich_reps must be an integer, got 'abc'"),
+        ({"seed": -1, **LEARN}, ["learn"], "seed must lie in [0, 2**64), got -1"),
+        (None, ["learn", "--learner", "constant", "--n", "10", "--delta", "0.1",
+                "--reps", "1000", "--seed", "-1"], "seed must lie in [0, 2**64), got -1"),
     ], ids=["grid_keys", "degenerate_chaos", "learn_reps", "format", "not_object",
             "unreadable", "gamma_expression", "gamma_value", "format_choice",
             "unknown_flag", "no_command", "non_integer_n", "non_integer_n_config",
-            "nan_n_config", "negative_threads"])
+            "nan_n_config", "negative_threads", "non_integer_seed", "non_integer_reps",
+            "non_integer_threads", "non_integer_sandwich_reps", "text_sandwich_reps",
+            "negative_seed_config", "negative_seed_flag"])
     def test_error_line(self, tmp_path, capsys, config, args, message):
         cfg = tmp_path / "cfg.json"
         if config is not None:

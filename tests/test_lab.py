@@ -220,7 +220,7 @@ class TestGapLoo:
         assert gap_loo(spec, ds, BERN) == pytest.approx(expected, abs=1e-12)
 
     def test_rejects_singleton(self):
-        with pytest.raises(ValueError, match="n >= 2"):
+        with pytest.raises(ValueError, match="^n must be >= 2, got 1$"):
             gap_loo(clipped_mean_learner(), dataset_of_labels([1]), BERN)
 
 
@@ -546,7 +546,7 @@ class TestInputChecks:
                                 exhaustive_cap=10),
          "exhaustive enumeration needs 256 evaluations, cap is 10"),
         (lambda: correlation_check(clipped_mean_learner(), BERN, n=1, reps=1000, seed=1),
-         "need n >= 2 for index pairs, got 1"),
+         "n must be >= 2, got 1"),
         (lambda: gap_quantiles(clipped_mean_learner(), BERN, 5, 999, [0.1], seed=1),
          "reps must be >= 1000, got 999"),
         (lambda: sandwich_sweep(dataclasses.replace(clipped_mean_learner(),
@@ -554,8 +554,24 @@ class TestInputChecks:
          "clipped_mean has no analytic gamma; pass one explicitly"),
         (lambda: bernoulli_labels(0.0), "p must lie in (0, 1), got 0.0"),
         (lambda: labelled_pair(1.0), "p must lie in (0, 1), got 1.0"),
+        (lambda: estimate_gamma(clipped_mean_learner(), BERN, n=4, trials=2.5, mode="sampled"),
+         "trials must be an integer, got 2.5"),
+        (lambda: correlation_check(clipped_mean_learner(), BERN, n=5, reps=1000, seed=1,
+                                   n_pairs=0),
+         "n_pairs must be >= 1, got 0"),
+        (lambda: collect_gaps(clipped_mean_learner(), BERN, n=5, reps=-1, seed=1),
+         "reps must be >= 0, got -1"),
+        (lambda: sandwich_sweep(clipped_mean_learner(), BERN, n=5, reps=-1, seed=1),
+         "reps must be >= 0, got -1"),
+        (lambda: gap(clipped_mean_learner(), (), BERN), "n must be >= 1, got 0"),
+        (lambda: g_values(clipped_mean_learner(), (), BERN), "n must be >= 1, got 0"),
+        (lambda: sandwich_check(clipped_mean_learner(), (), BERN, 0.1), "n must be >= 1, got 0"),
+        (lambda: collect_gaps(clipped_mean_learner(), BERN, n=5, reps=10, seed=1.5),
+         "seed must be an integer, got 1.5"),
     ], ids=["distribution", "g_i_index", "trials", "mode", "exhaustive_cap", "pairs_n",
-            "quantile_reps", "no_analytic_gamma", "bernoulli_p", "pair_p"])
+            "quantile_reps", "no_analytic_gamma", "bernoulli_p", "pair_p",
+            "trials_not_integer", "n_pairs", "collect_gaps_reps", "sandwich_sweep_reps",
+            "gap_empty", "g_values_empty", "sandwich_check_empty", "seed_not_integer"])
     def test_guard(self, call, message):
         # guards that no other test reaches, each with its message
         with pytest.raises((ValueError, IndexError), match=f"^{re.escape(message)}$"):

@@ -32,14 +32,22 @@ from stablebounds.oracle import (ENUMERATION_CAP, MomentSpec, SignFunction, _blo
     (lambda: SignFunction(0, lambda rows: rows), "arity must be >= 1, got 0"),
     (lambda: SignFunction(2.5, lambda rows: rows), "arity must be an integer, got 2.5"),
     (lambda: SignFunction(math.nan, lambda rows: rows), "arity must be an integer, got nan"),
-    (lambda: sign_matrix(-1), "arity must be an integer >= 0, got -1"),
+    (lambda: sign_matrix(-1), "arity must be >= 0, got -1"),
     (lambda: coordinate_function(3, 3), "coordinate 3 out of range for arity 3"),
     (lambda: collapse_lp(lambda s: s, 0, 2.0), "n must be >= 1, got 0"),
     (lambda: empirical_tail(sum_function(ENUMERATION_CAP + 1), 1.0, reps=10),
      "reps must be >= 100, got 10"),
     (lambda: hitczenko_functional([], 2.0), "weights must be a non-empty 1-d sequence"),
+    (lambda: collapse_lp(lambda s: s, 2.5, 2), "n must be an integer, got 2.5"),
+    (lambda: log_binomial_weights(-1), "n must be >= 0, got -1"),
+    (lambda: coordinate_function(3, 1.5), "i must be an integer, got 1.5"),
+    (lambda: MomentSpec(2, 10), "reps must be >= 100, got 10"),
+    (lambda: mc_lp(sum_function(4), MomentSpec(2, 1000.5)), "reps must be an integer, got 1000.5"),
+    (lambda: MomentSpec(2, 100, seed=1.5), "seed must be an integer, got 1.5"),
 ], ids=["arity", "arity_not_integer", "arity_nan", "sign_matrix_negative",
-        "coordinate", "collapse_n", "tail_reps", "hitczenko_empty"])
+        "coordinate", "collapse_n", "tail_reps", "hitczenko_empty", "collapse_n_not_integer",
+        "binomial_weights_n", "coordinate_not_integer", "mc_reps", "mc_reps_not_integer",
+        "seed_not_integer"])
 def test_input_guard(call, message):
     """Guards that no other test reaches, each with its message."""
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -374,17 +382,15 @@ class TestCollapseMemo:
         assert collapse_lp(g, 100, 2) == _collapse_lp.__wrapped__(g, 100, 2)
 
 
-class TestLpNormScratch:
-    """``lp_norm(v, p, work)`` takes |v| into ``work`` and raises it there in
-    place: every float equals the call without scratch, and ``v`` is never
-    written."""
+class TestLpNormInput:
+    """``lp_norm`` takes |v| into a fresh float64 array: ``v`` is never
+    written, and an int8 ``v`` is raised in float64."""
 
     @pytest.mark.parametrize("p", [2.0, 3.5, 8.0])
-    def test_bit_equal_and_input_unchanged(self, p):
+    def test_input_unchanged(self, p):
         v = np.random.default_rng(3).normal(size=4099) * 7.0
         kept = v.copy()
-        work = np.full_like(v, np.nan)
-        assert lp_norm(v, p, work) == lp_norm(v, p)
+        lp_norm(v, p)
         assert np.array_equal(v, kept)
 
     @pytest.mark.parametrize("p", [2, 3.5, 8.0, 1024])
@@ -395,19 +401,17 @@ class TestLpNormScratch:
         kept = v.copy()
         expected = lp_norm(v.astype(np.float64), p)
         assert lp_norm(v, p) == expected
-        assert lp_norm(v, p, np.empty(v.shape)) == expected
         assert np.array_equal(v, kept)
 
     @pytest.mark.parametrize("scale", [1e10, 1e-10])
     def test_range_safe_fallback(self, scale):
         # |v|^1000 overflows (1e10) or underflows (1e-10): the second pass
-        # takes |v| afresh, so the scratch of the first does not leak into it
+        # takes |v| afresh, with no warning
         v = scale * (1.0 + np.random.default_rng(5).random(257))
         kept = v.copy()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            value = lp_norm(v, 1000, np.empty_like(v))
-        assert value == lp_norm(v, 1000)
+            value = lp_norm(v, 1000)
         assert np.array_equal(v, kept)
         top = v.max()
         assert value == pytest.approx(top * np.mean((v / top) ** 1000) ** 1e-3, rel=1e-12)
