@@ -32,7 +32,7 @@ from . import bounds as bd
 from . import chaos as ch
 from . import lab
 from . import partition as pt
-from .oracle import _check_seed
+from .oracle import _check_int, _check_seed
 
 GENERATOR_ID = "philox4x64"
 
@@ -183,12 +183,14 @@ def _row_partition(point, cfg, seed):
 
 def _row_learn(point, cfg, seed):
     learner_name, n, delta = point
+    sandwich_reps = _integer("sandwich_reps", cfg.get("sandwich_reps", 500))
+    _check_int("sandwich_reps", sandwich_reps, 0)
     spec, dist = _LEARNERS[learner_name]()
     lab.check_deterministic(spec, dist, n, seed=seed)
     reps = int(cfg["reps"])
     table = lab.gap_quantiles(spec, dist, n, reps, [delta], seed=seed)
     row = table.rows[0]
-    sandwich_reps = min(reps, _integer("sandwich_reps", cfg.get("sandwich_reps", 500)))
+    sandwich_reps = min(reps, sandwich_reps)
     sweep = lab.sandwich_sweep(spec, dist, n, sandwich_reps, seed=_mix_seed(seed, 1))
     return {"reps": reps, "seed": seed, "gamma": table.gamma,
             "quantile": row.quantile, "bousquet02": row.bousquet02,

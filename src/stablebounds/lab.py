@@ -26,7 +26,6 @@ replace-one bookkeeping and are rejected by ``check_deterministic``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from math import sqrt
 from typing import Callable
 
@@ -204,9 +203,21 @@ def replace_one_terms(spec: LearnerSpec, dataset: Dataset,
 
 
 def _ordered_sum(a: np.ndarray, axis: int = 0):
-    """0.0 + a[0] + a[1] + ... along ``axis``: the order of the per-example
-    loops (``ndarray.sum`` may add pairwise, which moves the last bits)."""
-    return reduce(np.add, np.moveaxis(a, axis, 0), 0.0)
+    """0.0 + a[0] + a[1] + ... along ``axis`` of a float64 array, in one numpy
+    call: the order of the per-example loops, bit for bit.
+
+    numpy adds pairwise only along the axis its inner loop runs on, the one
+    of smallest nonzero stride. So where a kept axis with >= 2 entries has a
+    smaller nonzero stride than ``axis`` (a block of >= 2 datasets), the
+    reduce adds row after row in index order; elsewhere (1-d input, an
+    innermost ``axis``, a block of one dataset) the last entry of the running
+    sum is taken. The trailing ``+ 0.0`` is the loop's start: it turns a -0.0
+    total (every entry -0.0) into 0.0 and leaves every other value as it is."""
+    stride = abs(a.strides[axis])
+    if any(m > 1 and 0 < abs(s) < stride
+           for k, (m, s) in enumerate(zip(a.shape, a.strides)) if k != axis % a.ndim):
+        return np.add.reduce(a, axis=axis) + 0.0
+    return np.add.accumulate(a, axis=axis).take(-1, axis=axis) + 0.0
 
 
 def _losses(spec: LearnerSpec, dist: FiniteDistribution, idx: np.ndarray,

@@ -113,8 +113,9 @@ def _check_seed(seed: int) -> None:
 
 
 def _check_int(name: str, value, lo: int = 1) -> None:
-    """A size, count or index: an ``Integral`` >= lo."""
-    if not isinstance(value, Integral):
+    """A size, count or index: an ``Integral`` >= lo (a plain int is
+    accepted before the slower ABC check)."""
+    if type(value) is not int and not isinstance(value, Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < lo:
         raise ValueError(f"{name} must be >= {lo}, got {value}")

@@ -165,6 +165,8 @@ class TestConfigHandling:
          "sandwich_reps must be an integer, got 2.9"),
         ({"seed": 1, "sandwich_reps": "abc", **LEARN}, ["learn"],
          "sandwich_reps must be an integer, got 'abc'"),
+        ({"seed": 1, "sandwich_reps": -1, **LEARN}, ["learn"],
+         "sandwich_reps must be >= 0, got -1"),
         ({"seed": -1, **LEARN}, ["learn"], "seed must lie in [0, 2**64), got -1"),
         (None, ["learn", "--learner", "constant", "--n", "10", "--delta", "0.1",
                 "--reps", "1000", "--seed", "-1"], "seed must lie in [0, 2**64), got -1"),
@@ -173,6 +175,7 @@ class TestConfigHandling:
             "unknown_flag", "no_command", "non_integer_n", "non_integer_n_config",
             "nan_n_config", "negative_threads", "non_integer_seed", "non_integer_reps",
             "non_integer_threads", "non_integer_sandwich_reps", "text_sandwich_reps",
+            "negative_sandwich_reps",
             "negative_seed_config", "negative_seed_flag"])
     def test_error_line(self, tmp_path, capsys, config, args, message):
         cfg = tmp_path / "cfg.json"

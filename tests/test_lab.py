@@ -12,11 +12,12 @@ import dataclasses
 import math
 import re
 import tracemalloc
+from functools import reduce
 from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stablebounds import lab
@@ -682,6 +683,90 @@ class TestKernelMatchesReference:
         sweep = sandwich_sweep(clipped_mean_learner(), BERN, n=5, reps=0, seed=1)
         assert (sweep.violations, sweep.max_slack, sweep.max_excess) == (0, 0.0, -math.inf)
         assert collect_gaps(clipped_mean_learner(), BERN, n=5, reps=0, seed=1).shape == (0,)
+
+
+def loop_sum(a, axis=0):
+    """0.0 + a[0] + a[1] + ... along ``axis``, one add per entry: the order
+    ``lab._ordered_sum`` keeps."""
+    return reduce(np.add, np.moveaxis(a, axis, 0), 0.0)
+
+
+def cancelling(rng, shape, axis, nonfinite, zero_line):
+    """Values from 1e-3 to 1e16 in size, with 1e16 next to +-1 and +-0.0; if
+    ``nonfinite`` some +-inf and NaN, and if ``zero_line`` an all -0.0 line
+    along ``axis``."""
+    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 17, shape)
+    u = rng.random(shape)
+    a[u < 0.1] = 1e16
+    a[(0.1 <= u) & (u < 0.2)] = rng.choice([1.0, -1.0])
+    a[(0.2 <= u) & (u < 0.3)] = rng.choice([0.0, -0.0])
+    if nonfinite:
+        a[u > 0.998] = rng.choice([np.inf, -np.inf, np.nan])
+    if zero_line:
+        line = [-1] * len(shape)
+        line[axis] = slice(None)
+        a[tuple(line)] = -0.0
+    return a
+
+
+def layouts(a, axis):
+    """(array, axis) pairs over the same values: C and F order, transposed,
+    moved axes, flipped, a slice of a wider array, and each of those
+    broadcast along its first and its last axis."""
+    views = [(a, axis), (np.asfortranarray(a), axis), (a.T, a.ndim - 1 - axis),
+             (np.moveaxis(a, axis, -1), -1), (np.moveaxis(a, 0, -1), (axis - 1) % a.ndim),
+             (np.flip(a, axis), axis),
+             (np.concatenate([a, a], axis=-1)[..., :a.shape[-1]], axis)]
+    for view, ax in views:
+        yield view, ax
+        for j in {0, view.ndim - 1}:
+            yield np.broadcast_to(view.take([0], j), view.shape), ax
+
+
+# cells of one drawn array; n shrinks to fit
+_SUM_CELLS = 1 << 21
+
+
+class TestOrderedSum:
+    """``_ordered_sum`` equals the add-per-row loop to the bit (``tobytes``,
+    so -0.0 and NaN count) on every layout and on the shapes the lab sums."""
+
+    @pytest.mark.parametrize("rest,axis", [
+        ((), 0), ((1,), 0), ((2,), 0), ((163,), 0), ((327,), 0),
+        ((2, 2, 1), 2), ((2, 2, 2), 2), ((2, 2, 163), 2), ((4, 4, 163), 2),
+        ((2, 1), 1), ((4, 163), 1), ((2,), 1), ((4,), 1)],
+        ids=lambda v: str(v).replace(" ", ""))
+    @settings(max_examples=4, deadline=None)
+    @given(n=st.integers(1, 4096), seed=st.integers(0, 2**32 - 1), nonfinite=st.booleans(),
+           zero_line=st.booleans())
+    @example(n=1024, seed=1, nonfinite=False, zero_line=False)
+    @example(n=4096, seed=2, nonfinite=True, zero_line=True)
+    @example(n=3, seed=3, nonfinite=False, zero_line=True)
+    def test_equals_loop(self, rest, axis, n, seed, nonfinite, zero_line):
+        n = max(1, min(n, _SUM_CELLS // math.prod(rest)))
+        a = cancelling(np.random.default_rng(seed), (n,) + rest, axis, nonfinite, zero_line)
+        with np.errstate(invalid="ignore"):
+            for view, ax in layouts(a, axis):
+                got, want = np.asarray(lab._ordered_sum(view, ax)), np.asarray(loop_sum(view, ax))
+                assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+
+    @pytest.mark.parametrize("learner,dist,n,correlation", [
+        ("clipped_mean", "bernoulli_labels", 1024, True),
+        ("clipped_mean", "bernoulli_labels", 4096, True),
+        ("memorizer", "four_point", 1024, True),
+        ("shrunk_mean", "four_point", 4096, False)])
+    def test_drivers_equal_loop(self, monkeypatch, learner, dist, n, correlation):
+        # 41 datasets: the last block of each driver holds one dataset at n = 4096
+        spec, dist = SHIPPED[learner](), DISTRIBUTIONS[dist](0.3)
+
+        def drivers():
+            return (collect_gaps(spec, dist, n, 41, 5).tobytes(),
+                    sandwich_sweep(spec, dist, n, 41, 6),
+                    correlation_check(spec, dist, n, 1000, 7) if correlation else None)
+
+        fast = drivers()
+        monkeypatch.setattr(lab, "_ordered_sum", loop_sum)
+        assert fast == drivers()
 
 
 def gamma_loop(spec, dist, n, trials=1000, seed=0, mode="auto",

@@ -54,6 +54,23 @@ def test_input_guard(call, message):
         call()
 
 
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize("value", [3, True, np.int64(3), np.uint8(3), _Int(3)],
+                         ids=["int", "bool", "int64", "uint8", "int_subclass"])
+def test_check_int_accepts_integrals(value):
+    oracle._check_int("n", value)
+
+
+@pytest.mark.parametrize("value", [2.0, np.float64(2), "2", math.nan, None],
+                         ids=["float", "float64", "text", "nan", "none"])
+def test_check_int_refuses_non_integrals(value):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'n must be an integer, got {value!r}')}$"):
+        oracle._check_int("n", value)
+
+
 def brute_force_lp(n, scalar_f, p):
     """Independent plain-Python oracle: loop over all 2^n sign tuples."""
     total = 0.0
