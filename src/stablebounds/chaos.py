@@ -155,12 +155,18 @@ def verify_chaos_conditions(params: ChaosParams) -> ChaosConditionsReport:
 
     g_i depends on the coordinates only through z_i and t = sum_{j != i} z_j,
     and the family is exchangeable: every coordinate i sees the same function
-    of (z_i, Z_{-i}). So one conditioning pass covers every i. It enumerates
-    the 2^(n-1) assignments of the other coordinates and both values of z_i,
-    read in place from the rows of the cached coordinate-major matrix. A flip
-    of z_j changes g_i only through t, and swapping j with j' maps the
-    enumeration onto itself and keeps t, so every j gives the same values
-    permuted and the same max: one flip stands for all. The family meets
+    of (z_i, Z_{-i}). So one conditioning pass covers every i. It sums t over
+    the 2^(n-1) assignments of the other coordinates, read in place from the
+    rows of the coordinate-major sign matrix, and averages each branch z_i
+    over them in one float64 row of its own. A flip of z_j changes g_i only
+    through t, and swapping j with j' maps the enumeration onto itself and
+    keeps t, so every j gives the same values permuted and the same max: one
+    flip stands for all. The three maxima read no row: a max depends on
+    neither order nor multiplicity, so each is taken bit for bit over the n
+    values of t. A flip of z_0 moves t by 2 (exactly, in float64), so g_i
+    after it is the neighbouring entry of the same table, from the same
+    operations: the flip differences are those of neighbouring entries, as
+    z_0 = +1 and z_0 = -1 give the same pairs swapped. The family meets
     every hypothesis, but the violations are exactly 0 only where the
     arithmetic is exact, as at dyadic M and beta; elsewhere rounding leaves
     residues near 1e-15 (bounded_difference 1.4e-15 at n = 2, M = 10,
@@ -168,22 +174,23 @@ def verify_chaos_conditions(params: ChaosParams) -> ChaosConditionsReport:
     ``sign_matrix(n - 1)``, so n is capped at 21.
     """
     n, M, beta = params.n, params.M, params.beta
+    t = _sign_sum(sign_matrix(n - 1))                # sum over j != i, one Z_{-i} each
+    row = np.empty_like(t)
+    values = np.arange(1 - n, n, 2, dtype=np.float64)   # the n values of t
     worst_mean = 0.0
     worst_bdiff = 0.0
     max_abs_g = 0.0
-    others = sign_matrix(n - 1)                      # one Z_{-i} per row
-    t = _sign_sum(others)                            # sum over j != i
-    flips = others.T                                 # row j: z_j over every Z_{-i}
     branches = {}
     for zi in (1.0, -1.0):
-        g_branch = zi * M + 0.5 * beta * zi * t
+        c = 0.5 * beta * zi
+        np.multiply(t, c, out=row)
+        row += zi * M                                # g_i over every Z_{-i}
+        worst_mean = max(worst_mean, abs(abs(float(np.mean(row))) - M))
+        g_branch = c * values + zi * M
         branches[zi] = g_branch
-        worst_mean = max(worst_mean, abs(abs(float(np.mean(g_branch))) - M))
         max_abs_g = max(max_abs_g, float(np.max(np.abs(g_branch))))
-        # flip one j != i (none at n = 1) and re-evaluate g_i from its definition
-        for zj in flips[:1]:
-            g_flip = zi * M + 0.5 * beta * zi * (t - 2.0 * zj)
-            diff = float(np.max(np.abs(g_branch - g_flip)))
+        if n > 1:   # a flip of z_0 moves t to a neighbouring value
+            diff = float(np.max(np.abs(np.diff(g_branch))))
             worst_bdiff = max(worst_bdiff, max(diff - beta, 0.0))
     # centering given Z_{-i}: average the two z_i branches pointwise
     center = 0.5 * (branches[1.0] + branches[-1.0])

@@ -209,14 +209,23 @@ def _ordered_sum(a: np.ndarray, axis: int = 0):
     numpy adds pairwise only along the axis its inner loop runs on, the one
     of smallest nonzero stride. So where a kept axis with >= 2 entries has a
     smaller nonzero stride than ``axis`` (a block of >= 2 datasets), the
-    reduce adds row after row in index order; elsewhere (1-d input, an
-    innermost ``axis``, a block of one dataset) the last entry of the running
-    sum is taken. The trailing ``+ 0.0`` is the loop's start: it turns a -0.0
-    total (every entry -0.0) into 0.0 and leaves every other value as it is."""
+    reduce adds row after row in index order. Elsewhere (1-d input, an
+    innermost ``axis``, a block of one dataset) a summed axis shorter than
+    the kept part (the K terms of a block of one dataset) is the loop itself,
+    one add per slice from 0.0, and a longer one takes the last entry of its
+    running sum, which is then no larger than the input. The trailing
+    ``+ 0.0`` is the loop's start: it turns a -0.0 total (every entry -0.0)
+    into 0.0 and leaves every other value as it is."""
     stride = abs(a.strides[axis])
     if any(m > 1 and 0 < abs(s) < stride
            for k, (m, s) in enumerate(zip(a.shape, a.strides)) if k != axis % a.ndim):
         return np.add.reduce(a, axis=axis) + 0.0
+    if a.shape[axis] ** 2 < a.size:
+        rows = np.moveaxis(a, axis, 0)
+        total = 0.0 + rows[0]
+        for row in rows[1:]:
+            total += row
+        return total
     return np.add.accumulate(a, axis=axis).take(-1, axis=axis) + 0.0
 
 

@@ -15,18 +15,22 @@ that are kept deliberately independent of each other:
 Every check sweeps the moment order p. The collapse builds what does not
 depend on p once, below the public calls; the enumeration evaluates f afresh
 on every call and keeps nothing once it returns. One rule covers every cache:
-a one-entry record of arrays (the collapse's support record and its binomial
-law) is a ``_last``, which drops the held value before it builds the next; a
-memo of floats or closures is a bounded ``lru_cache``, through ``_memo`` where
-its key may be unhashable.
+every array cache is a one-entry ``_last`` (the sign matrix, the collapse's
+support record and its binomial law), which drops the held value before it
+builds the next; a memo of floats or closures is a bounded ``lru_cache``,
+through ``_memo`` where its key may be unhashable.
 Neither holds an unhashable key or an error, held arrays are read-only, and
 a race between pool threads costs a rebuild, never a wrong value.
 
-{-1,+1}^n is cached once per n <= 20 as a read-only int8 array (n, 2**n),
-z_i as row i; ``sign_matrix`` is its transpose. The partition's level bounds
-(n <= 20) and the chaos hypotheses (n - 1 coordinates, n <= 21) read it in
-place, and the enumeration copies ``sign_matrix(min(n, 16))`` into every
-block, column-major as that matrix is, so f sees one layout at every n.
+{-1,+1}^n (n <= 20) is a read-only int8 array (n, 2**n), z_i as row i, and
+only the last one built is held; ``sign_matrix`` is its transpose. Each row
+is written as its first period, 2**i entries of -1 and 2**i of +1, then
+doubled by copies of its filled prefix: contiguous writes, no temporaries.
+The chaos hypotheses (n - 1 coordinates, n <= 21) read it in place, the
+partition's level bounds read ``sign_matrix(min(n, 16))``, whose first m
+rows over 2**m entries are those of every larger matrix, and the
+enumeration copies ``sign_matrix(min(n, 16))`` into every block,
+column-major as that matrix is, so f sees one layout at every n.
 ``sum_function`` and the chaos sum add the signs of a row in int8 where it
 has fewer than 128 columns (``_sign_sum``): a sum of at most 127 signs is
 exact there, so its float64 values are those of a float64 sum, and the int8
@@ -59,7 +63,7 @@ import scipy  # noqa: F401
 ENUMERATION_CAP = 26   # 2**26 ~ 6.7e7 evaluations keeps the oracle interactive
 MC_BLOCK = 4096        # replicate block size; fixed so streams never depend on scheduling
 _BLOCK_ARITY = 16      # enumeration blocks of 2**16 rows
-_CACHED_ARITY = 20     # sign matrices up to 20 x 2**20 (~21 MB) are cached; also their cap
+_CACHED_ARITY = 20     # sign matrices up to 20 x 2**20 (~21 MB); the last one built is held
 _COLLAPSE_CAP = 1 << 24  # a collapse over n signs peaks near 41 B * n: ~0.7 GB at the cap
 _LOG2 = log(2.0)
 # cephes lgam (scipy.special.gammaln): log sqrt(2 pi), and the coefficients in
@@ -213,22 +217,39 @@ def _last(build):
     return cached
 
 
-@lru_cache(maxsize=4)
+def _tile(row: np.ndarray, filled: int, width: int) -> int:
+    """Repeat ``row[:filled]`` up to ``row[:width]`` (powers of two) by
+    doubling copies that never overlap, so numpy takes no temporary."""
+    while filled < width:
+        row[filled:2 * filled] = row[:filled]
+        filled *= 2
+    return filled
+
+
+@_last
 def _sign_columns(n: int) -> np.ndarray:
     """{-1,+1}^n coordinate-major: row i is z_i over the 2**n lexicographic
-    sign vectors, -1 for 2**i entries, then +1 for 2**i, repeated."""
-    cols = np.ones((n, 1 << n), dtype=np.int8)
+    sign vectors, -1 for 2**i entries, then +1 for 2**i, repeated. Each row
+    is written as its first period and tiled by doubling copies."""
+    cols = np.empty((n, 1 << n), dtype=np.int8)
     for i, col in enumerate(cols):
-        col.reshape(-1, 2, 1 << i)[:, 0] = -1
+        col[:1 << i] = -1
+        col[1 << i:2 << i] = 1
+        _tile(col, 2 << i, 1 << n)
     cols.flags.writeable = False        # shared by every caller of this arity
     return cols
 
 
-def sign_matrix(n: int) -> np.ndarray:
-    """All 2**n sign vectors as a read-only (2**n, n) view of +-1 (n <= 20)."""
+def _check_sign_arity(n: int) -> None:
+    """The cap on n of every sign matrix, checked before it is built."""
     _check_int("arity", n, 0)
     if n > _CACHED_ARITY:
         raise ValueError(f"arity {n} exceeds sign matrix cap {_CACHED_ARITY}")
+
+
+def sign_matrix(n: int) -> np.ndarray:
+    """All 2**n sign vectors as a read-only (2**n, n) view of +-1 (n <= 20)."""
+    _check_sign_arity(n)
     return _sign_columns(n).T
 
 

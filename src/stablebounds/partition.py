@@ -20,7 +20,7 @@ per-term norms against 2*sqrt(p*2^l)*beta, block sums against
 6*sqrt(2)*p*2^l*beta, level sums against 6*sqrt(2)*p*2^k*beta, and the
 assembled chain against the dyadic sum moment bound. The enumeration is
 coordinate-major: z_i over all 2^n sign vectors is one contiguous row of the
-cached int8 sign matrix, read in place.
+int8 sign matrix, read in place.
 
 The level-bounds check writes into three float64 rows of 2^n of its own,
 allocated per call, and holds nothing once it returns. Every term of a
@@ -35,11 +35,12 @@ only the coordinates [a, c) is a table over their 2^(c-a) sign patterns:
 constant over runs of 2^a entries, repeating every 2^c. A block's terms,
 (beta/2) times its sibling's sum over [s, s + m), are a table over the
 sibling's 2^m patterns, in runs of 2^s: the sum of the first 2^m entries
-of the sign matrix's rows 0..m-1, taken in int8 (a sum of at most 20 signs
-is exact). The block's own sum reads its parent's coordinates [P, hi), P
-the parent's start and hi its real end, in runs of 2^P. Its table T is
-built by prefix doubling over the block's coordinates in increasing i,
-T -> [T - hs, T + hs] with hs the sibling's table, from T = 0.0. z_i * hs is +-hs exactly and each partial
+of the rows 0..m-1 of ``sign_matrix(min(n, 16))``, m <= 16, taken in int8
+(a sum of at most 16 signs is exact). The block's own sum reads its
+parent's coordinates [P, hi), P the parent's start and hi its real end, in
+runs of 2^P. Its table T is built by prefix doubling over the block's
+coordinates in increasing i, T -> [T - hs, T + hs] with hs the sibling's
+table, from T = 0.0. z_i * hs is +-hs exactly and each partial
 sum depends only on its prefix of signs, so every entry of T is the float
 sum of the full-row loop, in its order. S = sum_i z_i is 2*popcount(x) - n:
 |S| and the closed form of sum_i g_i are evaluated on its n + 1 values and
@@ -80,11 +81,13 @@ import numpy as np
 
 from .bounds import dyadic_sum_moment_bound
 from .chaos import ChaosParams, chaos_collapsed
-from .oracle import SignFunction, _blocks_lp, _check_int, _check_real, sign_matrix
+from .oracle import (SignFunction, _blocks_lp, _check_int, _check_real, _check_sign_arity,
+                     _tile, sign_matrix)
 
 _SQRT2 = sqrt(2.0)
 GENERIC_CAP = 12   # nested enumeration blows up past desk scale
 _LEAF_BITS = 7     # numpy's pairwise sum ends in leaves of 2**7 entries
+_SIBLING_CAP = 16  # a sibling holds at most 16 indices at n <= 20 (half of 32)
 
 
 @dataclass(frozen=True)
@@ -221,15 +224,6 @@ class LevelBoundsReport:
                 and self.sum_norm <= self.chain_value <= self.chain_bound <= self.final_bound)
 
 
-def _tile(row: np.ndarray, filled: int, width: int) -> int:
-    """Repeat ``row[:filled]`` up to ``row[:width]`` (powers of two) by
-    doubling copies that never overlap, so numpy takes no temporary."""
-    while filled < width:
-        row[filled:2 * filled] = row[:filled]
-        filled *= 2
-    return filled
-
-
 def _period_width(period: int, n: int) -> int:
     """Entries that stand for a row of 2**n repeating every ``period``: one
     period, at least 128 (numpy's pairwise leaves), at most 2**n."""
@@ -289,7 +283,10 @@ def verify_level_bounds(params: ChaosParams, p: float) -> LevelBoundsReport:
     _check_real("p", p, 2)
     n = params.n
     final = dyadic_sum_moment_bound(p, n, params.beta, params.M).value
-    cols = sign_matrix(n).T          # rows [0, m) over 2**m entries: the m-sign patterns
+    _check_sign_arity(n)
+    # a sibling's table reads rows [0, m) over 2**m entries, m <= 16: the
+    # m-sign patterns, the same in every sign matrix of at least m rows
+    cols = sign_matrix(min(n, _SIBLING_CAP)).T
     tree = PartitionTree(n)
     beta, half_beta = params.beta, float(0.5 * params.beta)
     level_values, block_values, work = np.empty((3, 1 << n))

@@ -129,7 +129,7 @@ class TestVerifyConditions:
 
     def test_reads_matrix_in_place(self):
         # sign_matrix(16) is 1 MiB of int8; a float64 copy of it would be 8 MiB
-        _sign_columns.cache_clear()
+        _sign_columns.held = None
         tracemalloc.start()
         try:
             report = verify_chaos_conditions(ChaosParams(17, 1, 1))
@@ -138,6 +138,27 @@ class TestVerifyConditions:
             tracemalloc.stop()
         assert report.passed
         assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("n", [17, 19])
+    def test_holds_two_rows(self, n):
+        # t and the conditional-mean row, float64 over 2^(n-1) each, beside the
+        # held matrix; full-width branches, flips and differences took six
+        row = 8 << (n - 1)
+        sign_matrix(n - 1)
+        tracemalloc.start()
+        try:
+            verify_chaos_conditions(ChaosParams(n, 0.3, 1.7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 2 * row <= peak < 3 * row
+
+    @pytest.mark.parametrize("n", range(1, 22))
+    def test_equals_full_row_reference(self, n):
+        for M, beta in product((0, 0.1, 0.3, 1, 10, 1e10), (0.1, 0.3, 1.7, 7)):
+            params = ChaosParams(n, M, beta)
+            got, want = verify_chaos_conditions(params), _full_row_reference(params)
+            assert (repr(got), got.scale) == (repr(want), want.scale)
 
     @pytest.mark.parametrize("M,beta", [(0.1, 0.3), (1e10, 0.2), (1e200, 1e200)])
     def test_one_flip_stands_for_every_flip(self, M, beta):
@@ -159,6 +180,32 @@ class TestVerifyConditions:
         assert (report.conditional_centering, report.conditional_mean,
                 report.bounded_difference, report.uniform_bound) == (0.0, 0.0, 0.0, 0.0)
         assert report.passed
+
+
+def _full_row_reference(params):
+    """``verify_chaos_conditions`` with every quantity taken over full rows of
+    2^(n-1): each branch, its flip of z_0 and their difference."""
+    n, M, beta = params.n, params.M, params.beta
+    worst_mean = 0.0
+    worst_bdiff = 0.0
+    max_abs_g = 0.0
+    others = sign_matrix(n - 1)
+    t = others.sum(axis=1, dtype=np.float64)
+    branches = {}
+    for zi in (1.0, -1.0):
+        g_branch = zi * M + 0.5 * beta * zi * t
+        branches[zi] = g_branch
+        worst_mean = max(worst_mean, abs(abs(float(np.mean(g_branch))) - M))
+        max_abs_g = max(max_abs_g, float(np.max(np.abs(g_branch))))
+        for zj in others.T[:1]:
+            g_flip = zi * M + 0.5 * beta * zi * (t - 2.0 * zj)
+            diff = float(np.max(np.abs(g_branch - g_flip)))
+            worst_bdiff = max(worst_bdiff, max(diff - beta, 0.0))
+    center = 0.5 * (branches[1.0] + branches[-1.0])
+    worst_center = float(np.max(np.abs(center)))
+    worst_unif = abs(max_abs_g - params.uniform_bound)
+    return ChaosConditionsReport(worst_center, worst_mean, worst_bdiff, worst_unif,
+                                 max(1.0, params.uniform_bound))
 
 
 def _per_coordinate_reference(params):

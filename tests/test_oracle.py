@@ -80,8 +80,8 @@ def brute_force_lp(n, scalar_f, p):
 
 
 def traced_peak(run) -> int:
-    """Peak traced bytes of ``run()``, built from an empty sign-matrix cache."""
-    _sign_columns.cache_clear()
+    """Peak traced bytes of ``run()``, built with no sign matrix held."""
+    _sign_columns.held = None
     tracemalloc.start()
     try:
         run()
@@ -721,10 +721,13 @@ class TestSignMatrix:
             m[0, 0] = 1
         assert sign_matrix(5)[0, 0] == -1
 
-    @pytest.mark.parametrize("n", range(13))
+    @pytest.mark.parametrize("n", range(21))
     def test_lexicographic_layout(self, n):
-        r = np.arange(1 << n)[:, None]
-        assert np.array_equal(sign_matrix(n), ((r >> np.arange(n)) & 1) * 2 - 1)
+        # row by row: the whole int64 reference at n = 20 would take 160 MiB
+        m, r = sign_matrix(n), np.arange(1 << n)
+        assert m.shape == (1 << n, n)
+        for i, col in enumerate(m.T):
+            assert np.array_equal(col, ((r >> i) & 1) * 2 - 1)
 
     def test_columns_are_contiguous_int8(self):
         cols = sign_matrix(12).T
@@ -734,6 +737,19 @@ class TestSignMatrix:
     def test_built_without_temporaries(self):
         # 18 x 2**18 int8 is 4.5 MiB
         assert traced_peak(lambda: sign_matrix(18)) < 8 * 2**20
+
+    def test_one_matrix_held(self):
+        # 17 x 2**17 int8 is 2.1 MiB; the n = 18 matrix beside it would add 4.5 MiB
+        _sign_columns.held = None
+        tracemalloc.start()
+        try:
+            sign_matrix(18)
+            sign_matrix(17)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 3 * 2**20
+        assert _sign_columns(17) is _sign_columns(17)
 
     def test_rejects_arity_above_matrix_cap(self):
         # the whole matrix is held only up to n = 20; enumerate_lp runs in

@@ -263,9 +263,18 @@ class TestVerifyLevelBounds:
         with pytest.raises(ValueError, match="p must be"):
             verify_level_bounds(ChaosParams(4, 1.0, 1.0), 1.0)
 
-    def test_rejects_n_above_matrix_cap(self):
-        with pytest.raises(ValueError, match="cap"):
-            verify_level_bounds(ChaosParams(21, 1.0, 1.0), 2.0)
+    def test_rejects_n_above_matrix_cap(self, monkeypatch):
+        # the cap is checked before any sign matrix or row of 2^21 is built
+        calls = []
+        monkeypatch.setattr(partition, "sign_matrix", calls.append)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^arity 21 exceeds sign matrix cap 20$"):
+                verify_level_bounds(ChaosParams(21, 1.0, 1.0), 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == [] and peak < 64 * 2**10
 
     @pytest.mark.parametrize("p,message", [
         (math.nan, "p must be finite and >= 2, got nan"),
@@ -312,6 +321,20 @@ class TestVerifierMemory:
         verify_level_bounds(ChaosParams(10, 1.0, 0.5), 4.0)
         verify_telescoping(ChaosParams(10, 1.0, 0.5))   # a repeated report too
         assert calls == [10, 10, 10]
+
+    @pytest.mark.parametrize("n", [17, 18, 19, 20])
+    def test_level_bounds_read_the_sixteen_sign_matrix(self, monkeypatch, n):
+        # a sibling holds at most 16 indices, and the first m rows over 2^m
+        # entries are the same in every matrix
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return sign_matrix(n)
+
+        monkeypatch.setattr(partition, "sign_matrix", counted)
+        verify_level_bounds(ChaosParams(n, 1.0, 0.5), 2.0)
+        assert calls == [16]
 
     @pytest.mark.parametrize("n", [14, 16])
     def test_warm_call_holds_at_most_eight_rows(self, n):
