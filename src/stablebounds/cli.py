@@ -11,6 +11,9 @@ Each command is declared once, in ``_COMMANDS``: its grid keys, its row
 evaluator and its provenance. A row holds the command, the provenance, the
 grid point in grid-key order, then the command's own columns.
 
+``argparse``, ``json`` and the thread pool are imported where a run first
+uses them, so a library caller of ``run`` and a CSV ``render`` loads none.
+
 Exit codes: 0 all assertions in the run passed, 1 configuration error
 (including inputs whose arithmetic leaves the float range, such as an
 OverflowError, and a run that ends in a MemoryError or RuntimeError),
@@ -19,11 +22,8 @@ OverflowError, and a run that ends in a MemoryError or RuntimeError),
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 
 import numpy as np
@@ -249,6 +249,7 @@ def run(config: dict) -> tuple[list[dict], int]:
                     **evaluator(point, config, _mix_seed(seed, index))}
 
         if threads > 1:
+            from concurrent.futures import ThreadPoolExecutor
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 rows = list(pool.map(work, enumerate(points)))
         else:
@@ -306,6 +307,7 @@ def render(command: str, rows: list[dict], config: dict, fmt: str) -> str:
             lines.append(",".join(_fmt(row[col]) for col in header))
         return "\n".join(lines) + "\n"
     if fmt == "json":
+        import json
         doc = {"command": command}
         if provenance is not None:
             doc["provenance"] = provenance
@@ -318,16 +320,18 @@ def render(command: str, rows: list[dict], config: dict, fmt: str) -> str:
 # argument handling
 # ---------------------------------------------------------------------------
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse defaults to exit code 2; we use 1
-        raise ConfigError(message)
-
-
 def _split_tokens(text: str) -> list[str]:
     return [tok for tok in text.split(",") if tok.strip()]
 
 
 def build_config(argv: list[str]) -> dict:
+    import argparse
+    import json
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):  # argparse defaults to exit code 2; we use 1
+            raise ConfigError(message)
+
     parser = _Parser(prog="stablebounds",
                      description="verification workbench for stability bounds")
     sub = parser.add_subparsers(dest="command")

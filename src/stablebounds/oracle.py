@@ -76,6 +76,7 @@ _LGAM_SERIES = ((slice(0, 1000 - 13), (8.11614167470508450300E-4, -5.95061904284
                 (slice(1000 - 13, None), (7.9365079365079365079365e-4,
                                           -2.7777777777777777777778e-3,
                                           0.0833333333333333333333)))
+_LOG_FACTORIALS = tuple(log(factorial(k)) for k in range(12))     # lgam below 13: log (x - 1)!
 
 
 @dataclass(frozen=True)
@@ -347,7 +348,7 @@ def _lgam(m: int) -> np.ndarray:
     ``math.log``, the ``log`` cephes calls; numpy's SIMD ``np.log`` differs from
     it in the last bit at some integers, and so would the weights."""
     out = np.empty(m)
-    out[:12] = [log(factorial(x - 1)) for x in range(1, min(m, 12) + 1)]
+    out[:12] = _LOG_FACTORIALS[:m]
     if m <= 12:
         return out
     x = np.arange(13, m + 1, dtype=np.float64)
@@ -392,9 +393,11 @@ def collapse_lp(g: Callable[[np.ndarray], np.ndarray], n: int, p: float) -> floa
     cached. What does not depend on p (|g|, its log, the binomial weights) is
     built once per (g, n), in a one-entry support record. Terms are evaluated
     in log space and accumulated in decreasing magnitude order, so results
-    are bitwise stable and immune to overflow of |g|^p. Above n = 1076 only
-    the terms within 746 of the largest are summed: any further below add
-    exactly 0 to the log-sum, so the float is that of the full sum.
+    are bitwise stable and immune to overflow of |g|^p. Above n = 1076 the
+    terms within 64 of the largest are summed first, and the sum stops there
+    where a term 64 below the largest would leave it unchanged; elsewhere
+    the terms within 746 of the largest are summed. Either way the terms
+    left out add exactly 0, so the float is that of the full sum.
     """
     _check_int("n", n)
     _check_real("p", p, 1)
@@ -423,14 +426,14 @@ class _Support:
     def __init__(self, g, n):
         self.g, self.n = g, n
         self.logw, self.weights, self.total = _law(n)
-        with np.errstate(over="ignore", invalid="ignore"):     # caught by ``finite`` below
+        # non-finite values of g are caught by ``finite``; log 0 is -inf
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             self.vals = np.abs(np.asarray(g(2.0 * np.arange(n + 1) - n), dtype=np.float64))
-        self.vals.flags.writeable = False
-        self.finite = bool(np.all(np.isfinite(self.vals)))
-        if self.finite:
-            with np.errstate(divide="ignore"):
+            self.finite = bool(np.isfinite(self.vals).all())
+            if self.finite:
                 self.logv = np.log(self.vals)
-            self.logv.flags.writeable = False
+                self.logv.flags.writeable = False
+        self.vals.flags.writeable = False
 
 
 _support = _last(_Support)      # one record of O(n) held, the last (g, n) collapsed
@@ -444,26 +447,59 @@ def _collapse_lp(g, n, p) -> float:
 def _support_lp(sup: _Support, p) -> float:
     if not sup.finite:
         raise ValueError("g produced non-finite values on the support of S")
-    with np.errstate(over="ignore"):
-        terms = p * sup.logv
-        terms += sup.logw
-    top = sup.vals.max() if p > 1e305 else 0.0     # p * log|g| is in range below (|log v| < 745)
-    if top > 0 and not np.isfinite(terms[np.argmax(sup.vals)]):    # max|g| * ||g / max|g|||,
-        scaled = _Support(lambda s: sup.g(s) / top, sup.n)  # a record of its own
-        return float(top * _support_lp(scaled, p))
-    # The running sum never falls below the largest term, and logaddexp(a, t)
-    # adds log1p(exp(t - a)), exactly 0 once t - a < -745.14 (exp is below
-    # half the least subnormal): terms more than 746 below the top, zero
-    # outcomes (log 0) and underflowed ones (-inf) among them, change no bit,
-    # so only the window is sorted and reduced. At g = 0 every term is -inf,
-    # and every one is kept.
-    # The log weights span n log 2; below 746 the cut rarely drops a term and
-    # costs more than it saves (4 us a call at n = 64).
-    if sup.n * _LOG2 > 746.0:
-        terms = terms[terms >= terms.max() - 746.0]
+    if p <= 1e305:      # |log v| < 745: every term, and every gap between two, is in range
+        return _root(_log_sum(_terms(sup, p), sup.n), p)
+    with np.errstate(over="ignore"):        # p * log|g| and the gaps can leave it
+        terms = _terms(sup, p)
+        top = sup.vals.max()
+        if top > 0 and not np.isfinite(terms[np.argmax(sup.vals)]):    # max|g| * ||g / max|g|||,
+            scaled = _Support(lambda s: sup.g(s) / top, sup.n)  # a record of its own
+            return float(top * _support_lp(scaled, p))
+        return _root(_log_sum(terms, sup.n), p)
+
+
+def _terms(sup: _Support, p) -> np.ndarray:
+    """log(P(S = s) * |g(s)|^p) over the support of S, a fresh array."""
+    terms = p * sup.logv
+    terms += sup.logw
+    return terms
+
+
+def _log_sum(terms: np.ndarray, n: int):
+    """log sum exp(terms): the float of ``logaddexp.reduce`` over the terms in
+    decreasing order. ``terms`` may be sorted in place.
+
+    Each step logaddexp(r, t) = r + log1p(exp(t - r)) is monotone in t, and
+    the running sum r never falls below the largest term. Above n = 1076
+    (the log weights span n log 2 > 746) the terms within 64 of the largest
+    are reduced first; if one step more, with a term 64 below the largest,
+    returns r, so does every term left out, and r is the full sum's float.
+    That fails only near r = 0 (|r| below about 1e-12); there the terms
+    within 746 of the largest are reduced, since log1p(exp(t - r)) is
+    exactly 0 once t - r < -745.14. Zero outcomes (log 0) and underflowed
+    terms (-inf) fall below both cuts; at g = 0 every term is -inf and all
+    are kept. Below n = 1076 a cut rarely drops a term and costs more than
+    it saves (4 us a call at n = 64).
+    """
+    if n * _LOG2 > 746.0:
+        top = terms.max()
+        head = terms[terms >= top - 64.0]
+        head.sort()
+        r = np.logaddexp.reduce(head[::-1])
+        if np.logaddexp(r, top - 64.0) == r:
+            return r
+        terms = terms[terms >= top - 746.0]
     terms.sort()
-    with np.errstate(over="ignore"):        # an unwindowed gap past the float range
-        return float(np.exp(np.logaddexp.reduce(terms[::-1]) / p))
+    return np.logaddexp.reduce(terms[::-1])
+
+
+def _root(r, p) -> float:
+    """exp(r / p), the norm from the log-sum of its p-th power."""
+    x = r / p
+    if x > 709.0:                       # exp leaves the float range
+        with np.errstate(over="ignore"):
+            return float(np.exp(x))
+    return float(np.exp(x))
 
 
 def _mc_values(f: SignFunction, reps: int, seed: int) -> np.ndarray:

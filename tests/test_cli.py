@@ -482,6 +482,15 @@ class TestGoldenFile:
         assert code == 0
         assert out.read_bytes() == (DATA / "chaos_reference.csv").read_bytes()
 
+    def test_large_n_reference_reproduces_shipped_output(self, tmp_path):
+        # n on both sides of 1076, where the collapse starts reducing only
+        # the log terms near the largest, up to 2^15 and p = 1000
+        out = tmp_path / "chaos_large.csv"
+        code = run_main(["chaos", "--config", DATA / "chaos_large_reference.json",
+                         "--out", out])
+        assert code == 0
+        assert out.read_bytes() == (DATA / "chaos_large_reference.csv").read_bytes()
+
     def test_learn_reference_reproduces_shipped_output(self, tmp_path):
         # all four learners x n in {10, 50}, reps 2000, seed 7: the sampled
         # datasets, gaps, quantiles and sandwich slacks byte for byte
@@ -515,15 +524,27 @@ class TestJsonFormat:
         assert doc["rows"][0]["lower_ratio"] is None
 
 
+def _loaded_after_cli_import(*modules):
+    """Which of ``modules`` a fresh interpreter holds after ``import stablebounds.cli``."""
+    src = str(Path(stablebounds.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = f"import sys, stablebounds.cli; print([m in sys.modules for m in {modules!r}])"
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    return result.stdout.strip()
+
+
 def test_cli_import_loads_no_scipy_submodule():
     # the weights of the collapse come from oracle's own lgam and the LP is
     # solved at its vertices, so neither scipy.special nor scipy.optimize is
     # loaded; the top-level package is, for the benchmark's version record
-    src = str(Path(stablebounds.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = ("import sys, stablebounds.cli; print([m in sys.modules for m in "
-            "('scipy', 'scipy.special', 'scipy.optimize')])")
-    result = subprocess.run([sys.executable, "-c", code], env=env,
-                            capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "[True, False, False]"
+    assert _loaded_after_cli_import("scipy", "scipy.special", "scipy.optimize") == \
+        "[True, False, False]"
+
+
+def test_cli_import_loads_no_parser_json_or_pool():
+    # cli.run and a CSV render parse no argv, write no JSON and, at one
+    # thread, start no pool: those modules load where a run first uses them
+    assert _loaded_after_cli_import("argparse", "json", "concurrent.futures") == \
+        "[False, False, False]"

@@ -9,7 +9,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
@@ -312,8 +312,8 @@ class TestCollapseLp:
         ("wide", 4000, True), ("narrow", 1200, False), ("zero", 4000, False)])
     @pytest.mark.parametrize("p", [1, 2, 8, 64])
     def test_window_equals_full_reduction(self, case, n, windowed, p):
-        # only the terms within 746 of the largest are summed (the log weights
-        # span n log 2 > 746 here); the float is that of the full log-sum
+        # at most the terms within 746 of the largest are summed (the log
+        # weights span n log 2 > 746 here); the float is that of the full log-sum
         g = {"wide": lambda s: 1.0 + 0.5 * np.abs(s),
              # p log g = s^2 / 2n offsets most of the log weights
              "narrow": lambda s: np.exp(0.5 * s * s / (n * p)),
@@ -344,6 +344,78 @@ class TestCollapseLp:
         with pytest.raises(ValueError, match="non-finite"):
             with np.errstate(divide="ignore"):
                 collapse_lp(lambda s: 1.0 / (s + 4.0), 4, 2)   # pole at s = -4
+
+
+def window_support_lp(sup, p):
+    """The collapse kernel that reduces, above n = 1076, every log term within
+    746 of the largest: the float ``oracle._support_lp`` must return."""
+    if not sup.finite:
+        raise ValueError("g produced non-finite values on the support of S")
+    with np.errstate(over="ignore"):
+        terms = p * sup.logv
+        terms += sup.logw
+    top = sup.vals.max() if p > 1e305 else 0.0
+    if top > 0 and not np.isfinite(terms[np.argmax(sup.vals)]):
+        return float(top * window_support_lp(oracle._Support(lambda s: sup.g(s) / top, sup.n), p))
+    with np.errstate(over="ignore"):
+        return float(np.exp(window_log_sum(terms, sup.n) / p))
+
+
+def window_log_sum(terms, n):
+    """log sum exp(terms) over the terms within 746 of the largest above
+    n = 1076, every term below, reduced largest first."""
+    if n * math.log(2.0) > 746.0:
+        terms = terms[terms >= terms.max() - 746.0]
+    return np.logaddexp.reduce(np.sort(terms)[::-1])
+
+
+def tabulated(vals):
+    """g over the support {-n, ..., n} of S given by its n + 1 values."""
+    n = len(vals) - 1
+    return lambda s: vals[((s + n) / 2).astype(np.int64)]
+
+
+class TestLogSumStop:
+    """Above n = 1076 the collapse reduces the terms within 64 of the largest
+    and stops where one more step leaves the sum unchanged; it must return
+    the float of the reduce over every term within 746, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1077, 1 << 16), seed=st.integers(0, 2**32 - 1),
+           shape=st.sampled_from(["normal", "zeros", "constant", "zero"]),
+           scale=st.floats(-300, 300), normalize=st.booleans(),
+           p=st.one_of(st.floats(1.0, 1e4), st.sampled_from([1.0, 2.0, 8.0]),
+                       st.floats(1e305, 1e308, exclude_min=True)))
+    @example(n=1077, seed=0, shape="constant", scale=0.0, normalize=True, p=2.0)
+    @example(n=1 << 16, seed=1, shape="zeros", scale=300.0, normalize=False, p=1e308)
+    @example(n=5000, seed=2, shape="normal", scale=-300.0, normalize=False, p=1e306)
+    @example(n=3000, seed=3, shape="normal", scale=0.0, normalize=True, p=2.0)  # falls back
+    def test_equals_window_reduce(self, n, seed, shape, scale, normalize, p):
+        # huge and tiny |g|, zero outcomes, g = 0, and, normalized by its own
+        # norm, a log-sum near 0, where the stop must fall back to the window
+        rng = np.random.default_rng(seed)
+        vals = {"normal": lambda: rng.standard_normal(n + 1),
+                "zeros": lambda: rng.standard_normal(n + 1) * (rng.random(n + 1) < 0.5),
+                "constant": lambda: np.ones(n + 1),
+                "zero": lambda: np.zeros(n + 1)}[shape]() * 10.0 ** scale
+        if normalize:
+            norm = window_support_lp(oracle._Support(tabulated(vals), n), p)
+            if 0 < norm < np.inf:
+                vals /= norm
+        sup = oracle._Support(tabulated(vals), n)
+        assert oracle._support_lp(sup, p) == window_support_lp(sup, p)
+        # the log-sum itself: a change of e^-64 in it seldom moves exp(r / p)
+        with np.errstate(over="ignore"):
+            terms = oracle._terms(sup, p)
+            assert oracle._log_sum(terms.copy(), n) == window_log_sum(terms, n)
+
+    def test_fallback_where_the_sum_is_near_zero(self):
+        # r = 0 from the largest term alone, and the terms 70 below add
+        # 2000 e^-70 to it: the stop must not return r
+        n = 2000
+        terms = np.r_[0.0, np.full(n, -70.0)]
+        expected = window_log_sum(terms, n)
+        assert oracle._log_sum(terms, n) == expected > 0.0
 
 
 class TestCollapseMemo:
