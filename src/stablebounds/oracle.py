@@ -195,7 +195,12 @@ def _hashable(key) -> bool:
 def _memo(cached, *key):
     """``cached(*key)``, or its uncached ``__wrapped__`` where the key is not
     hashable, so every argument the uncached function accepts stays accepted."""
-    return cached(*key) if _hashable(key) else cached.__wrapped__(*key)
+    try:
+        return cached(*key)
+    except TypeError:
+        if _hashable(key):
+            raise
+    return cached.__wrapped__(*key)
 
 
 def _last(build):

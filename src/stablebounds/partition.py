@@ -22,42 +22,46 @@ assembled chain against the dyadic sum moment bound. The enumeration is
 coordinate-major: z_i over all 2^n sign vectors is one contiguous row of the
 int8 sign matrix, read in place.
 
-The level-bounds check writes into three float64 rows of 2^n of its own,
-allocated per call, and holds nothing once it returns. Every term of a
-block has the same norm, (beta/2)*||sibling sum||_p, since |z_i| = 1, and
-every level-0 term and block is +-beta/2 at each entry, so one norm serves
-them all. Norms whose |v|^p leaves the float range are taken scaled by
-max|v| (``oracle._blocks_lp``).
+The level-bounds check writes into three float64 rows of 2^n of its own and
+one popcount index of at most 2^16 entries, allocated per call, and holds
+nothing once it returns. Every term of a block has the same norm,
+(beta/2)*||sibling sum||_p, since |z_i| = 1, and every level-0 term and
+block is +-beta/2 at each entry, so one norm serves them all. Norms whose
+|v|^p leaves the float range are taken scaled by max|v|
+(``oracle._blocks_lp``).
 
 Each row is built, and raised to p, at its parent's resolution. Entry x of
 the enumeration has z_j = +1 where bit j of x is set, so a row that reads
 only the coordinates [a, c) is a table over their 2^(c-a) sign patterns:
-constant over runs of 2^a entries, repeating every 2^c. A block's terms,
-(beta/2) times its sibling's sum over [s, s + m), are a table over the
-sibling's 2^m patterns, in runs of 2^s: the sum of the first 2^m entries
-of the rows 0..m-1 of ``sign_matrix(min(n, 16))``, m <= 16, taken in int8
-(a sum of at most 16 signs is exact). The block's own sum reads its
-parent's coordinates [P, hi), P the parent's start and hi its real end, in
-runs of 2^P. Its table T is built by prefix doubling over the block's
-coordinates in increasing i, T -> [T - hs, T + hs] with hs the sibling's
-table, from T = 0.0. z_i * hs is +-hs exactly and each partial
-sum depends only on its prefix of signs, so every entry of T is the float
-sum of the full-row loop, in its order. S = sum_i z_i is 2*popcount(x) - n:
-|S| and the closed form of sum_i g_i are evaluated on its n + 1 values and
-gathered by a popcount index, built by the same doubling. Only the level
-sums stay rows: a level sum is built in block order, the partial sum tiled
-up to each block's period before that block's table is added across its
-runs, so every entry sees the adds of the full rows in their order.
+constant over runs of 2^a entries, repeating every 2^c. A block's terms are
+(beta/2) times its sibling's sum over [s, s + m), in runs of 2^s; its own
+sum reads its parent's coordinates [P, hi), P the parent's start and hi its
+real end, in runs of 2^P. Its table T is built by prefix doubling over the
+block's coordinates in increasing i, T -> [T - hs, T + hs] with hs the
+sibling's sum times beta/2, from T = 0.0. z_i * hs is +-hs exactly and each
+partial sum depends only on its prefix of signs, so every entry of T is the
+float sum of the full-row loop, in its order. S = sum_i z_i is
+2*popcount(x) - n: |S| and the closed form of sum_i g_i are evaluated on its
+n + 1 values and gathered by a popcount index, built by the same doubling.
+Only the level sums stay rows: a level sum is built in block order, the
+partial sum tiled up to each block's period before that block's table is
+added across its runs, so every entry sees the adds of the full rows in
+their order.
 
-Each norm raises its table alone and lays the powers out over one period
-of at least 128 entries (at most 2^n), and that period's sum is bit for bit
-the full row's: the power is elementwise, and numpy sums a contiguous
-float64 row of 2^n as a pairwise tree of halves down to leaves of 128, so
-the full sum is exact doublings of the period's sum (or inf in both forms),
-and the norm counts the period's sum 2^n / period times before it divides
-by 2^n. Only the level rows that read z_(n-1) and the top level's two block
-tables (their parent starts at 0, so they have no runs) are raised over all
-2^n entries.
+Each norm raises its table alone and lays the powers out over one period of
+at least 128 entries (at most 2^n), and that period's sum is bit for bit the
+full row's: the power is elementwise, and numpy sums a contiguous float64
+row of 2^n as a pairwise tree of halves down to leaves of 128, so the full
+sum is exact doublings of the period's sum (or inf in both forms), and the
+norm counts the period's sum 2^n / period times before it divides by 2^n. A
+sibling's sum depends on its 2^m sign patterns only through their popcount
+c, as 2c - m: m + 1 values. Term and block tables are built and raised over
+those values (a block's T holds 2^own * (m + 1) entries, not 2^(own + m)),
+then gathered along the sibling axis by c, read from the int8 (exact) column
+sums of ``sign_matrix(min(n, 16))``: into the block row the level sum adds,
+and, raised, into the row its norm sums. A gather moves floats and
+computes none, so every norm stays bit for bit. Only the level rows that
+read z_(n-1) are raised over all 2^n entries.
 
 The telescoping check takes no p and reads no rows. At every sign vector,
 index i's deviation is one float expression of z_i and its sibling sums,
@@ -74,7 +78,9 @@ an independent cross-check of the terms (beta/2)*z_i*(sibling sum).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from math import sqrt
 
 import numpy as np
@@ -230,39 +236,60 @@ def _period_width(period: int, n: int) -> int:
     return max(period, min(1 << _LEAF_BITS, 1 << n))
 
 
+def _gather(table: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``table`` (high, values, low) gathered along its middle axis by
+    ``index`` into the head of ``out``, returned flat."""
+    high, _, low = table.shape
+    size = high * index.size * low
+    table.take(index, 1, out[:size].reshape(high, index.size, low), "clip")  # "raise" buffers out
+    return out[:size]
+
+
 def _period_lp(table: np.ndarray, p: float, n: int, work: np.ndarray, run: int = 1,
-               index: np.ndarray | None = None) -> float:
+               index: np.ndarray | None = None, spare: np.ndarray | None = None,
+               fresh: Callable[[], np.ndarray] | None = None) -> float:
     """``lp_norm`` of a row of 2**n entries, bit for bit, from ``table``: the
-    row repeats ``table`` with each entry taken ``run`` times (a power of
-    two), or it is ``table`` gathered by ``index``. |table|**p is raised once,
-    laid out in ``work`` over one period of at least 128 entries (or 2**n),
-    and that period's sum counts 2**n / period times."""
-    width = index.size if index is not None else _period_width(table.size * run, n)
+    row repeats ``table``, gathered by ``index`` along its middle axis
+    (``table`` is then (high, values, low)), each entry taken ``run`` times
+    (a power of two). |table|**p is raised once: in ``work`` without
+    ``index``, in place where ``fresh`` rebuilds ``table`` for a rescaled
+    pass, else in a new array. The powers are laid out in ``work`` (through
+    ``spare`` where ``run`` > 1) over one period of at least 128 entries (or
+    2**n), whose sum counts 2**n / period times."""
+    size = table.size if index is None else table.size // table.shape[1] * index.size
+    width = _period_width(size * run, n)
     row = work[:width]
+    tables = [table]
+
+    def blocks():
+        if index is None:
+            return (np.abs(table, out=work[:table.size]),)
+        if fresh is None:
+            return (np.abs(table),)
+        t = tables.pop() if tables else fresh()
+        return (np.abs(t, out=t),)
 
     def spread(v):
         if index is not None:
-            return np.take(v, index, out=row, mode="clip")   # "raise" buffers out
+            v = _gather(v, index, row if run == 1 else spare)
         if run > 1:
-            row[:v.size * run].reshape(v.size, run)[:] = v[:, None]
-        _tile(work, v.size * run, width)
+            row[:size * run].reshape(size, run)[:] = v[:, None]
+        _tile(work, size * run, width)
         return row
 
-    # a table in runs of one entry is raised in place in ``work`` itself
-    powers = work[:table.size] if run == 1 and index is None else None
-    return _blocks_lp(lambda: (np.abs(table, out=powers),), 1 << n, p,
-                      (1 << n) // width, spread)
+    return _blocks_lp(blocks, 1 << n, p, (1 << n) // width, spread)
 
 
 def _block_table(out: np.ndarray, scratch: np.ndarray, half_sib: np.ndarray, own: int,
                  sib_low: bool) -> np.ndarray:
     """sum_i z_i * half_sib over the block's ``own`` coordinates, added from
     0.0 in increasing i, as a table in ``out`` over the sign patterns of its
-    parent's coordinates: half_sib's sibling patterns below the block's own
-    where ``sib_low``, above them otherwise. Built by prefix doubling, one
-    coordinate at a time, T -> [T - half_sib, T + half_sib], each step read
-    from one of ``out`` and ``scratch`` and written to the other, so no ufunc
-    reads and writes one buffer."""
+    own coordinates and the sibling values ``half_sib``, shaped (high, values,
+    low): the sibling axis below the block's own where ``sib_low``, above it
+    otherwise. Built by prefix doubling, one coordinate at a time,
+    T -> [T - half_sib, T + half_sib], each step read from one of ``out`` and
+    ``scratch`` and written to the other, so no ufunc reads and writes one
+    buffer."""
     low, high = (half_sib.size, 1) if sib_low else (1, half_sib.size)
     hs = half_sib.reshape(high, 1, low)
     src, dst = (out, scratch) if own % 2 == 0 else (scratch, out)
@@ -273,7 +300,7 @@ def _block_table(out: np.ndarray, scratch: np.ndarray, half_sib: np.ndarray, own
         np.subtract(t, hs, out=doubled[:, 0])       # z_i = -1 where bit j is clear
         np.add(t, hs, out=doubled[:, 1])
         src, dst = dst, src
-    return out[:half_sib.size << own]
+    return out[:half_sib.size << own].reshape((1 << own, -1, 1) if sib_low else (1, -1, 1 << own))
 
 
 def verify_level_bounds(params: ChaosParams, p: float) -> LevelBoundsReport:
@@ -290,6 +317,14 @@ def verify_level_bounds(params: ChaosParams, p: float) -> LevelBoundsReport:
     tree = PartitionTree(n)
     beta, half_beta = params.beta, float(0.5 * params.beta)
     level_values, block_values, work = np.empty((3, 1 << n))
+    # a sibling of m indices sums to 2c - m at c signs +1, m + 1 values: its
+    # tables are built over them and gathered by c, the popcount of each of
+    # its 2**m patterns, the first 2**m popcounts of the widest sibling's
+    widest = tree.n_padded >> 1
+    sib_popcount = np.add(np.add.reduce(cols[:widest, :1 << widest], axis=0, dtype=np.int8),
+                          widest, dtype=np.intp)
+    sib_popcount >>= 1
+    half_sums = half_beta * np.arange(-widest, widest + 1)[None, :, None]
 
     term_slacks = []
     block_slacks = []
@@ -310,28 +345,34 @@ def verify_level_bounds(params: ChaosParams, p: float) -> LevelBoundsReport:
                 block_slacks.append(block_bound)
                 continue
             # the block's rows read its parent's coordinates [parent, hi)
-            # alone: tables over their sign patterns, in runs of 2**parent
+            # alone: tables over their sign patterns (the sibling's by their
+            # popcount), in runs of 2**parent
             parent = (block.start >> (l + 1)) << (l + 1)
             s = ((block.start >> l) ^ 1) << l
             hi = max(real.stop, s + m)
-            half_sib = half_beta * np.add.reduce(cols[:m, :1 << m], axis=0, dtype=np.int8)
-            bv = _block_table(block_values, work, half_sib, len(real), s < block.start)
+            index, half_sib = sib_popcount[:1 << m], half_sums[:, widest - m:widest + m + 1:2]
+            build = partial(_block_table, block_values, work, half_sib, len(real), s < block.start)
             # term_i = z_i * (beta/2) * sib and |z_i| = 1, so every term of
             # the block has the norm of (beta/2) * sib, in runs of 2**s
             if l == 0:      # every level-0 term and block is +-beta/2 at each entry
-                norm0 = _period_lp(half_sib, p, n, work, 1 << s) if norm0 is None else norm0
+                if norm0 is None:
+                    norm0 = _period_lp(half_sib, p, n, work, 1 << s, index, block_values)
                 term_norm = block_norm = norm0
             else:
-                term_norm = _period_lp(half_sib, p, n, work, 1 << s)
-                block_norm = _period_lp(bv, p, n, work, 1 << parent)
-            term_slacks.extend([term_bound - term_norm] * len(real))
-            block_slacks.append(block_bound - block_norm)
+                term_norm = _period_lp(half_sib, p, n, work, 1 << s, index, block_values)
+            table = build()
+            bv = _gather(table, index, work)
             # every block so far repeats within ``filled``: tiled, each entry
             # of the level sum sees the adds of the full rows, in their order
             width = _period_width(1 << hi, n)
             filled = _tile(level_values, filled, width)
             lv = level_values[:width].reshape(-1, bv.size, 1 << parent)
             lv += bv[:, None]
+            if l > 0:       # the table is raised in place, once the level sum has read it
+                block_norm = _period_lp(table, p, n, work, 1 << parent, index,
+                                        block_values[table.size:], build)
+            term_slacks.extend([term_bound - term_norm] * len(real))
+            block_slacks.append(block_bound - block_norm)
         level_norms.append(_period_lp(level_values[:filled], p, n, work))
         level_slacks.append(level_bound - level_norms[-1])
 
@@ -341,7 +382,7 @@ def verify_level_bounds(params: ChaosParams, p: float) -> LevelBoundsReport:
     popcount[0] = 0
     for j in range(n):
         np.add(popcount[:1 << j], 1, out=popcount[1 << j:2 << j])
-    s_values = np.arange(-n, n + 1, 2, dtype=np.float64)
+    s_values = np.arange(-n, n + 1, 2, dtype=np.float64)[None, :, None]
     sum_norm = _period_lp(chaos_collapsed(params)(s_values), p, n, work, index=popcount)
     chain_value = (params.M * _period_lp(s_values, p, n, work, index=popcount)
                    + float(np.sum(level_norms)))

@@ -1,6 +1,7 @@
 """Oracle tests: the three moment routes (enumeration, collapse, Monte
 Carlo) against each other and against plain-Python brute force."""
 
+import functools
 import math
 import re
 import tracemalloc
@@ -469,6 +470,44 @@ class TestCollapseMemo:
             hash(g)
         assert collapse_lp(g, 100, 2) == pytest.approx(20.0, rel=1e-12)
         assert collapse_lp(g, 100, 2) == _collapse_lp.__wrapped__(g, 100, 2)
+
+
+class TestMemoKeys:
+    """``_memo`` hashes each key once, in the cache itself; only an unhashable
+    key takes the uncached function."""
+
+    def test_key_is_hashed_once_per_call(self):
+        class Counted:
+            hashes = 0
+
+            def __hash__(self):
+                self.hashes += 1
+                return 7
+
+        cached = functools.lru_cache(maxsize=4)(lambda key, n: n)
+        key = Counted()
+        for calls in range(1, 4):
+            assert oracle._memo(cached, key, 3) == 3
+            assert key.hashes == calls
+
+    def test_type_error_from_the_function_propagates_uncached(self):
+        calls = []
+
+        @functools.lru_cache(maxsize=4)
+        def refuses(n):
+            calls.append(n)
+            raise TypeError("refused")
+
+        for expected in ([5], [5, 5]):
+            with pytest.raises(TypeError, match="refused"):
+                oracle._memo(refuses, 5)
+            assert calls == expected        # once per call: neither retried nor cached
+
+    def test_unhashable_key_is_computed_uncached(self):
+        cached = functools.lru_cache(maxsize=4)(lambda key: sum(key))
+        for _ in range(2):
+            assert oracle._memo(cached, [1, 2]) == 3
+        assert cached.cache_info().currsize == 0
 
 
 class TestLpNormInput:

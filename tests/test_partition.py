@@ -344,13 +344,13 @@ class TestVerifierMemory:
         assert warm_traced_peak(lambda: verify_telescoping(params)) <= rows
         assert warm_traced_peak(lambda: verify_level_bounds(params, 8.0)) <= rows
 
-    @pytest.mark.parametrize("n", [16, 18])
+    @pytest.mark.parametrize("n", [16, 18, 20])
     def test_level_bounds_hold_their_three_work_rows(self, n):
         # three float64 rows of 2^n: the level sums, the block tables, and
         # the powers; the exact sum and S are gathered from n + 1 values by a
-        # popcount index held in the block row. The sibling tables add at
-        # most 2^16 entries (a quarter row at n = 18); any temporary of 2^n
-        # would cross the fourth row
+        # popcount index held in the block row. A sibling's popcount index
+        # adds at most 2^16 entries (a quarter row at n = 18); any temporary
+        # of 2^n would cross the fourth row
         row = 8 << n
         peak = warm_traced_peak(lambda: verify_level_bounds(ChaosParams(n, 1.0, 0.3), 8.0))
         assert 3 * row <= peak < 4 * row
@@ -466,18 +466,23 @@ class TestSymmetryReductions:
 
 class TestPeriodRows:
     """``verify_level_bounds`` raises each term, block and sum row only over
-    the distinct values of its table, lays them out over one period of at
-    least 128 entries, and takes their norms with a repeat factor. Held here
-    with ``==``, norm for norm, to the full-row loop it replaces, written out
-    from the enumeration: around the 128-entry floor (n = 7, 8), above the
-    golden grid (n = 17..20), and where |v|^p leaves the float range (every p
-    at beta = 1e200, p = 1000 at beta = 1), so the rescaled pass runs too."""
+    the distinct values of its table, gathers them by popcount where a
+    sibling's or S's values stand for its sign patterns, lays them out over
+    one period of at least 128 entries, and takes their norms with a repeat
+    factor. Held here with ``==``, norm for norm, to the full-row loop it
+    replaces, written out from the enumeration: around the 128-entry floor
+    (n = 7, 8), with top-level siblings of 5 to 8 indices (n = 13, 14, 16),
+    above the golden grid (n = 17..20), and where |v|^p leaves the float
+    range (every p at beta = 1e200, p = 1000 at beta = 1), so the rescaled
+    pass runs too."""
 
     @pytest.mark.parametrize("n,M,beta,orders", [
         pytest.param(n, M, beta, orders, id=f"{n}-{M}-{beta}-p{'_'.join(map(str, orders))}")
         for n, M, beta, orders in (
             *((n, M, beta, (2, 3.5, 8)) for n in (7, 8, 17, 18, 19, 20)
               for M, beta in ((1.0, 1.0), (0.1, 0.3)) if n < 20 or M == 1.0),
+            # top-level blocks with their sibling below and above them
+            *((n, 0.1, 0.3, (2, 3.5, 8)) for n in (13, 14, 16)),
             (12, 0.0, 1e200, (2, 3.5, 8)), (17, 1.0, 1.0, (1000,)))])
     def test_norms_equal_the_full_row_loop(self, monkeypatch, n, M, beta, orders):
         expected = {p: [] for p in orders}
@@ -518,12 +523,11 @@ class TestPeriodRows:
             verify_level_bounds(ChaosParams(n, M, beta), p)
             assert taken == expected[p]
 
-    @pytest.mark.parametrize("n,full", [(16, 6), (18, 4)])
+    @pytest.mark.parametrize("n,full", [(16, 4), (18, 2)])
     def test_full_width_norms(self, monkeypatch, n, full):
         # tables of all 2**n entries, each raised to p in full: the level
-        # rows that read the last coordinate, z_(n-1), and the top level's two
-        # block rows, whose parent starts at 0; every other row is raised on
-        # its distinct values alone
+        # rows that read the last coordinate, z_(n-1); every term and block
+        # table is raised over its own patterns and its sibling's m + 1 values
         lengths = []
         norm = partition._period_lp
 
