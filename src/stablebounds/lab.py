@@ -229,6 +229,18 @@ def _ordered_sum(a: np.ndarray, axis: int = 0):
     return np.add.accumulate(a, axis=axis).take(-1, axis=axis) + 0.0
 
 
+def _take_along(a: np.ndarray, idx: np.ndarray, axis: int) -> np.ndarray:
+    """``np.take_along_axis(a, idx, axis)`` for ``idx`` >= 0, C-ordered as numpy's
+    is for a C-ordered ``idx``: one flat ``take`` on ``a`` made C-contiguous,
+    with offsets from its strides."""
+    a = np.ascontiguousarray(a)
+    flat = idx * (a.strides[axis] // a.itemsize)
+    for d, (m, s) in enumerate(zip(a.shape, a.strides)):
+        if d != axis % a.ndim:
+            flat = flat + (np.arange(m) * (s // a.itemsize)).reshape((m,) + (1,) * (a.ndim - 1 - d))
+    return a.take(flat)
+
+
 def _losses(spec: LearnerSpec, dist: FiniteDistribution, idx: np.ndarray,
             refits: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """``LearnerSpec.batch_losses`` for any learner: the array form, else built per
@@ -254,16 +266,19 @@ def _replace_one(spec: LearnerSpec, dist: FiniteDistribution, idx: np.ndarray,
     """The batched replace-one kernel on the datasets with support indices
     ``idx`` (shape (n, reps), one per column): their gaps n * (risk -
     empirical risk) and, if ``refits``, the terms q_k * (risk(h) - loss(h(x_i),
-    y_i)) of h = the fit with z_i replaced by z_k, shape (n, K, reps)."""
+    y_i)) of h = the fit with z_i replaced by z_k, shape (n, K, reps). The losses
+    at the datasets' own points are gathered by one flat ``take`` each
+    (``_take_along``), C-ordered as ``take_along_axis`` returns them: on that
+    layout ``_ordered_sum`` adds a block's rows in one reduce, not a loop."""
     n = idx.shape[0]
     base, refit_losses = _losses(spec, dist, idx, refits)
     q = np.asarray(dist.probs)[:, None]
-    emp = _ordered_sum(np.take_along_axis(base, idx, axis=0)) / n
+    emp = _ordered_sum(_take_along(base, idx, 0)) / n
     gaps = n * (_ordered_sum(q * base) - emp)
     if not refits:
         return gaps, None
     # q weighs axis 2 (test point j) of the losses, then axis 1 (replacement k)
-    own = np.take_along_axis(refit_losses, idx[:, None, None, :], axis=2)[:, :, 0]
+    own = _take_along(refit_losses, idx[:, None, None, :], 2)[:, :, 0]
     return gaps, q * (_ordered_sum(q * refit_losses, axis=2) - own)
 
 
@@ -767,25 +782,26 @@ def memorizer_learner(default=0.0) -> LearnerSpec:
         same_x = np.array([[a.x == b.x for b in dist.support] for a in dist.support])
         # at[j, i, r]: example i of dataset r lies at x_j. The all-True
         # position n makes argmax return n for an x the dataset lacks.
-        at = same_x[:, idx]
+        at = same_x.take(idx, axis=1)
         end = np.ones((len(ys), 1, reps), dtype=bool)
         first = np.argmax(np.concatenate([at, end], axis=1), axis=1)    # [j, r]
         labels = np.vstack([ys[idx], np.full(reps, default)])  # row n: the default
-        recalled = np.take_along_axis(labels, first, axis=0)
+        recalled = _take_along(labels, first, 0)
         base = np.abs(recalled - ys[:, None])
         if not refits:
             return base, None
         at &= np.arange(n)[:, None] != first[:, None, :]
         second = np.argmax(np.concatenate([at, end], axis=1), axis=1)
-        runner_up = np.take_along_axis(labels, second, axis=0)
+        runner_up = _take_along(labels, second, 0)
         # refit [i, k, j, r], z_i -> z_k, recalls at x_j: y_k if z_k lies at
         # x_j and no earlier example does; else the first example's label,
-        # or the second's when the first was z_i
-        i = np.arange(n)[:, None, None, None]
-        pred = np.where(same_x[:, :, None],
-                        np.where(first < i, recalled, ys[:, None, None]),
-                        np.where(first == i, runner_up, recalled))
-        return base, np.abs(pred - ys[:, None])
+        # or the second's when the first was z_i. Its loss comes from three
+        # tables, broadcast once: |y_k - y_j|, base [j, r] and kept [i, j, r],
+        # which is base but |runner_up - y_j| where example i is first at x_j
+        i = np.arange(n)[:, None, None]
+        kept = np.where(first == i, np.abs(runner_up - ys[:, None]), base)
+        return base, np.where(same_x[:, :, None] & (first >= i)[:, None],
+                              np.abs(ys[:, None] - ys)[:, :, None], kept[:, None])
 
     return LearnerSpec(
         name="memorizer",

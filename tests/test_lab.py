@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stablebounds import lab
+from stablebounds import cli, lab
 from stablebounds.lab import (Example, FiniteDistribution, GammaEstimate,
                               LearnerSpec, _draws, _losses, _replace_one,
                               absolute_loss, bernoulli_labels,
@@ -679,6 +679,19 @@ class TestKernelMatchesReference:
         # refits of z_3 = (0, 1/4) predict 1/3 and 2/3; every risk is 1/2
         assert g[2] == pytest.approx(0.5 - 0.5 * (1 / 12 + 5 / 12), abs=1e-12)
 
+    @pytest.mark.parametrize("learner", sorted(SHIPPED))
+    def test_block_boundary_at_bench_size(self, learner):
+        # n = 100, K = 2, the `learn` benchmark's size: 164 datasets are a
+        # block of 163, then a block of one, which _ordered_sum sums by its
+        # other path
+        spec, dist = cli._LEARNERS[learner]()
+        ref = reference_of(spec)
+        assert [rows.stop - rows.start for rows, _ in _draws(dist, 100, 164, philox(0))] == [163, 1]
+        assert np.array_equal(collect_gaps(spec, dist, 100, 164, 11),
+                              collect_gaps(ref, dist, 100, 164, 11))
+        assert (sandwich_sweep(spec, dist, 100, 164, 12)
+                == sandwich_sweep(ref, dist, 100, 164, 12))
+
     def test_empty_sweep(self):
         sweep = sandwich_sweep(clipped_mean_learner(), BERN, n=5, reps=0, seed=1)
         assert (sweep.violations, sweep.max_slack, sweep.max_excess) == (0, 0.0, -math.inf)
@@ -767,6 +780,72 @@ class TestOrderedSum:
         fast = drivers()
         monkeypatch.setattr(lab, "_ordered_sum", loop_sum)
         assert fast == drivers()
+
+
+def restrided(a, layout):
+    """An array equal to ``a`` (or, for "broadcast", to its first entries along
+    the last axis) in another memory layout."""
+    if layout == "F":
+        return np.asfortranarray(a)
+    if layout == "transposed":
+        return a.T.copy().T
+    if layout == "sliced":
+        return np.stack([a, a], axis=-1)[..., 0]
+    if layout == "flipped":
+        return np.flip(np.flip(a, 0).copy(), 0)
+    if layout == "broadcast":
+        return np.broadcast_to(a[..., :1], a.shape)
+    return a
+
+
+LAYOUTS = ["C", "F", "transposed", "sliced", "flipped", "broadcast"]
+
+
+class TestTakeAlong:
+    """``lab._take_along`` returns what ``np.take_along_axis`` returns: equal
+    values, shape and dtype, in a C-contiguous array: numpy's layout too for
+    the C-ordered indices the lab passes, and the one on which
+    ``_ordered_sum`` sums a block of datasets in one reduce."""
+
+    @staticmethod
+    def check(a, idx, axis):
+        got, want = lab._take_along(a, idx, axis), np.take_along_axis(a, idx, axis)
+        assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+        assert got.flags.c_contiguous
+        assert want.flags.c_contiguous or not idx.flags.c_contiguous
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1), k=st.sampled_from([1, 2, 4, 33, 64]),
+           dtype=st.sampled_from([np.float64, np.bool_]), layout=st.sampled_from(LAYOUTS),
+           idx_layout=st.sampled_from(["C", "F", "sliced", "broadcast"]))
+    def test_equals_take_along_axis(self, data, seed, k, dtype, layout, idx_layout):
+        ndim = data.draw(st.integers(1, 4))
+        axis = data.draw(st.integers(-ndim, ndim - 1))
+        shape = data.draw(st.lists(st.sampled_from([1, 2, 3, 7]), min_size=ndim, max_size=ndim))
+        shape[axis] = k
+        # a length-1 axis of either array broadcasts against the other's
+        idx_shape = [data.draw(st.sampled_from([m, 1] if m > 1 else [1, 3])) for m in shape]
+        idx_shape[axis] = data.draw(st.integers(1, 5))
+        rng = np.random.default_rng(seed)
+        a = restrided((rng.standard_normal(shape) > 0).astype(dtype) if dtype is np.bool_
+                      else rng.standard_normal(shape), layout)
+        idx = restrided(rng.integers(0, k, idx_shape), idx_layout)
+        self.check(a, idx, axis)
+
+    @pytest.mark.parametrize("n,k,reps", [(1, 2, 1), (1, 64, 3), (100, 2, 163), (100, 2, 1),
+                                          (7, 33, 2), (3, 4, 40)])
+    def test_kernel_gathers(self, n, k, reps):
+        # the four calls in lab, on the shapes they see; the constant learner
+        # returns stride-0 broadcast arrays
+        rng = np.random.default_rng(n * k * reps)
+        idx = rng.integers(0, k, (n, reps))
+        for base in (rng.random((k, reps)), np.broadcast_to(rng.random((k, 1)), (k, reps))):
+            self.check(base, idx, 0)
+        for moved in (rng.random((n, k, k, reps)),
+                      np.broadcast_to(rng.random((k, 1)), (n, k, k, reps))):
+            self.check(moved, idx[:, None, None, :], 2)
+        labels = rng.random((n + 1, reps))
+        self.check(labels, rng.integers(0, n + 1, (k, reps)), 0)
 
 
 def gamma_loop(spec, dist, n, trials=1000, seed=0, mode="auto",
