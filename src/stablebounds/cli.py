@@ -32,7 +32,7 @@ from . import bounds as bd
 from . import chaos as ch
 from . import lab
 from . import partition as pt
-from .oracle import _check_int, _check_seed
+from .oracle import _check_seed
 
 GENERATOR_ID = "philox4x64"
 
@@ -42,9 +42,6 @@ _LEARNERS = {
     "shrunk_mean": lambda: (lab.shrunk_mean_learner(), lab.bernoulli_labels()),
     "memorizer": lambda: (lab.memorizer_learner(), lab.labelled_pair()),
 }
-
-_INT_KEYS = {"n"}
-_STR_KEYS = {"learner"}
 
 
 class ConfigError(Exception):
@@ -79,32 +76,40 @@ def _parse_gamma(token, n: int) -> float:
 
 
 def _coerce(key: str, value):
-    if key in _STR_KEYS:
+    if key == "learner":
         name = str(value)
         if name not in _LEARNERS:
             raise ConfigError(f"unknown learner {name!r}; have {sorted(_LEARNERS)}")
         return name
-    if key == "gamma":
-        return value if isinstance(value, str) else float(value)
-    if key in _INT_KEYS:
-        iv = _integer(key, value)
-        if iv < 1:
-            raise ConfigError(f"{key} must be >= 1, got {iv}")
-        return iv
-    return float(value)
+    if key == "n":
+        return _integer(key, value, 1)
+    return value if key == "gamma" and isinstance(value, str) else _number(key, value)
 
 
-def _integer(key: str, value) -> int:
+def _integer(key: str, value, lo: int | None = None) -> int:
     """An integer setting: an int, a float equal to one, or a string that
-    ``int`` reads; 2.5, nan, '2.5' and 'abc' are refused, not truncated (inf
-    overflows, an ArithmeticError)."""
+    ``int`` reads, at least ``lo`` where given; true, 2.5, nan, '2.5' and
+    'abc' are refused, not truncated (inf overflows, an ArithmeticError)."""
     try:
-        iv = int(value)
+        iv = None if isinstance(value, bool) else int(value)
     except (TypeError, ValueError):
         iv = None
     if iv is None or (isinstance(value, float) and iv != value):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if lo is not None and iv < lo:
+        raise ConfigError(f"{key} must be >= {lo}, got {iv}")
     return iv
+
+
+def _number(key: str, value) -> float:
+    """A real setting: a number or a string that ``float`` reads; true, null,
+    lists and objects are refused."""
+    try:
+        if not isinstance(value, bool):
+            return float(value)
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{key} must be a number, got {value!r}")
 
 
 def _sort_key(point: tuple):
@@ -120,8 +125,9 @@ def build_grid(command: str, grid: dict) -> list[tuple]:
     axes = []
     for key in keys:
         values = grid.get(key)
-        if not values:
-            raise ConfigError(f"grid for {command!r} needs non-empty {key!r}")
+        if not (isinstance(values, list) and values):
+            raise ConfigError(f"grid for {command!r} needs a non-empty list {key!r}, "
+                              f"got {values!r}")
         axes.append([_coerce(key, v) for v in values])
     points = [tuple(p) for p in product(*axes)]
     points.sort(key=_sort_key)
@@ -148,13 +154,14 @@ def _row_chaos(point, cfg, seed):
     n, M, beta, p = point
     if M == 0 and beta == 0:
         raise ConfigError("chaos grid contains the degenerate point M = beta = 0")
+    min_lower_ratio = _number("min_lower_ratio", cfg.get("min_lower_ratio", 0.02))
     params = ch.ChaosParams(n=n, M=M, beta=beta)
     norm = ch.chaos_lp(params, p)
     bound = bd.dyadic_sum_moment_bound(p, n, beta, M).value
     dominance_ok = norm <= bound * (1 + 1e-12)
     if 8 <= p <= n:
         ratio = ch.lower_ratio(params, p)
-        lower_ok = ratio >= float(cfg.get("min_lower_ratio", 0.02))
+        lower_ok = ratio >= min_lower_ratio
     else:
         ratio = float("nan")
         lower_ok = True
@@ -183,8 +190,7 @@ def _row_partition(point, cfg, seed):
 
 def _row_learn(point, cfg, seed):
     learner_name, n, delta = point
-    sandwich_reps = _integer("sandwich_reps", cfg.get("sandwich_reps", 500))
-    _check_int("sandwich_reps", sandwich_reps, 0)
+    sandwich_reps = _integer("sandwich_reps", cfg.get("sandwich_reps", 500), 0)
     spec, dist = _LEARNERS[learner_name]()
     lab.check_deterministic(spec, dist, n, seed=seed)
     reps = int(cfg["reps"])
@@ -254,8 +260,6 @@ def run(config: dict) -> tuple[list[dict], int]:
                 rows = list(pool.map(work, enumerate(points)))
         else:
             rows = [work(item) for item in enumerate(points)]
-    except ConfigError:
-        raise
     except (ValueError, IndexError) as exc:
         raise ConfigError(str(exc)) from exc
     except (ArithmeticError, MemoryError, RuntimeError) as exc:
@@ -266,12 +270,10 @@ def run(config: dict) -> tuple[list[dict], int]:
 
 
 def _resolve_threads(value) -> int:
-    threads = _integer("threads", value)
+    threads = _integer("threads", value, 0)
     if threads == 0:
         env = os.environ.get("WORKBENCH_THREADS", "")
-        threads = _integer("WORKBENCH_THREADS", env) if env.strip() else (os.cpu_count() or 1)
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 0, got {threads}")
+        threads = _integer("WORKBENCH_THREADS", env, 1) if env.strip() else (os.cpu_count() or 1)
     return threads
 
 
@@ -370,7 +372,12 @@ def build_config(argv: list[str]) -> dict:
                         ("threads", args.threads)):
         if value is not None:
             config[name] = value
-    grid = dict(config.get("grid") or {})
+    if not isinstance(config.get("out", ""), str):
+        raise ConfigError(f"out must be a path, got {config['out']!r}")
+    grid = config.get("grid", {})
+    if not isinstance(grid, dict):
+        raise ConfigError(f"grid must be a JSON object, got {grid!r}")
+    grid = dict(grid)
     for key in _COMMANDS[args.command][0]:
         raw = getattr(args, key)
         if raw is not None:

@@ -450,7 +450,7 @@ def estimate_gamma(spec: LearnerSpec, dist: FiniteDistribution, n: int,
         for start in range(0, k ** n, block):
             idx = np.arange(start, min(start + block, k ** n)) // digits % k
             base, moved = _losses(spec, dist, idx, True)
-            skip = same[idx].transpose(0, 2, 1)[:, :, None]   # [i, k, ., r]: z_k == z_i
+            skip = same.take(idx, axis=0).transpose(0, 2, 1)[:, :, None]  # [i, k, ., r]: z_k == z_i
             worst = max(worst, float(np.where(skip, 0.0, np.abs(moved - base)).max()))
         return GammaEstimate(value=worst, mode="exhaustive",
                              evaluations=n * k ** n * int(np.count_nonzero(~same)))
@@ -661,16 +661,6 @@ def zero_one_loss(prediction, y) -> float:
     return 0.0 if prediction == y else 1.0
 
 
-class _ConstantPredictor:
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __call__(self, x):
-        return self.value
-
-
 class _MeanPredictor:
     """Shrunk-and-clipped label mean; carries the raw mean for O(1) refits."""
 
@@ -684,23 +674,11 @@ class _MeanPredictor:
         return min(1.0, max(0.0, self.mean / self.shrink))
 
 
-class _MemorizerPredictor:
-    """First-occurrence label table with a default for unseen points."""
-
-    __slots__ = ("table", "default")
-
-    def __init__(self, table: dict, default):
-        self.table = table
-        self.default = default
-
-    def __call__(self, x):
-        return self.table.get(x, self.default)
-
-
 def constant_learner(value: float = 0.0, loss=zero_one_loss,
                      loss_bound: float = 1.0) -> LearnerSpec:
     """Ignores the data entirely; uniformly stable with gamma = 0."""
-    predictor = _ConstantPredictor(value)
+    def predictor(x):
+        return value
 
     def batch_losses(idx, dist, refits):
         n, reps = idx.shape
@@ -774,7 +752,7 @@ def memorizer_learner(default=0.0) -> LearnerSpec:
 
     def fit(ds: Dataset) -> Predictor:
         table = {e.x: e.y for e in reversed(ds)}   # first occurrence wins
-        return _MemorizerPredictor(table, default)
+        return lambda x: table.get(x, default)
 
     def batch_losses(idx, dist, refits):
         n, reps = idx.shape

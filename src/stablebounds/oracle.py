@@ -62,7 +62,7 @@ import scipy  # noqa: F401
 
 ENUMERATION_CAP = 26   # 2**26 ~ 6.7e7 evaluations keeps the oracle interactive
 MC_BLOCK = 4096        # replicate block size; fixed so streams never depend on scheduling
-_BLOCK_ARITY = 16      # enumeration blocks of 2**16 rows
+_BLOCK_ARITY = 16      # enumeration blocks of 2**16 rows; partition siblings hold <= 16
 _CACHED_ARITY = 20     # sign matrices up to 20 x 2**20 (~21 MB); the last one built is held
 _COLLAPSE_CAP = 1 << 24  # a collapse over n signs peaks near 41 B * n: ~0.7 GB at the cap
 _LOG2 = log(2.0)
@@ -289,25 +289,16 @@ def _pairwise_sum(parts: list[float]) -> float:
 
 
 def _blocks_lp(blocks: Callable[[], Iterable[np.ndarray]], count: int, p: float,
-               repeat: int = 1, spread: Callable[[np.ndarray], np.ndarray] | None = None
-               ) -> float:
+               total: Callable[[np.ndarray], float] = np.sum) -> float:
     """(count^-1 * sum v^p)^(1/p) over the fresh non-negative float64 arrays
-    ``blocks()`` yields, each raised in place (``v **= p`` takes the path of
-    ``v ** p``, the square at p = 2 included). Where that sum is non-finite, or
-    0 while max v > 0, a second pass scales each block in place by its max, so
-    streamed blocks keep bounded memory.
-
-    Each block's sum counts ``repeat`` times, a power of two, before the
-    division by ``count``: a block of 2**j >= 128 entries then stands for its
-    ``repeat`` copies side by side, bit for bit, since numpy sums a contiguous
-    float64 row as a pairwise tree of halves down to leaves of 128, so the sum
-    of the copies is ``repeat`` exact doublings of the block's (inf in both
-    forms where it overflows). ``spread``, where given, maps each raised block
-    to the row summed in its place: a table of distinct values, raised once,
-    then laid out as the row it stands for."""
+    ``blocks()`` yields. Each is raised in place (``v **= p`` takes the path
+    of ``v ** p``, the square at p = 2 included), and ``total`` maps it to the
+    float sum that stands for it. Where the mean is non-finite, or 0 while
+    max v > 0, a second pass scales each block in place by its max, so
+    streamed blocks keep bounded memory."""
     def powered_sum(v):
         v **= p
-        return float(np.sum(v if spread is None else spread(v))) * repeat
+        return float(total(v))
 
     with np.errstate(over="ignore"):
         mean = _pairwise_sum([powered_sum(v) for v in blocks()]) / count

@@ -87,13 +87,12 @@ import numpy as np
 
 from .bounds import dyadic_sum_moment_bound
 from .chaos import ChaosParams, chaos_collapsed
-from .oracle import (SignFunction, _blocks_lp, _check_int, _check_real, _check_sign_arity,
-                     _tile, sign_matrix)
+from .oracle import (_BLOCK_ARITY, SignFunction, _blocks_lp, _check_int, _check_real,
+                     _check_sign_arity, _tile, sign_matrix)
 
 _SQRT2 = sqrt(2.0)
 GENERIC_CAP = 12   # nested enumeration blows up past desk scale
 _LEAF_BITS = 7     # numpy's pairwise sum ends in leaves of 2**7 entries
-_SIBLING_CAP = 16  # a sibling holds at most 16 indices at n <= 20 (half of 32)
 
 
 @dataclass(frozen=True)
@@ -255,7 +254,7 @@ def _period_lp(table: np.ndarray, p: float, n: int, work: np.ndarray, run: int =
     ``index``, in place where ``fresh`` rebuilds ``table`` for a rescaled
     pass, else in a new array. The powers are laid out in ``work`` (through
     ``spare`` where ``run`` > 1) over one period of at least 128 entries (or
-    2**n), whose sum counts 2**n / period times."""
+    2**n), whose sum counts 2**n / period times: the row's, by the leaf rule."""
     size = table.size if index is None else table.size // table.shape[1] * index.size
     width = _period_width(size * run, n)
     row = work[:width]
@@ -269,15 +268,15 @@ def _period_lp(table: np.ndarray, p: float, n: int, work: np.ndarray, run: int =
         t = tables.pop() if tables else fresh()
         return (np.abs(t, out=t),)
 
-    def spread(v):
+    def total(v):
         if index is not None:
             v = _gather(v, index, row if run == 1 else spare)
         if run > 1:
             row[:size * run].reshape(size, run)[:] = v[:, None]
         _tile(work, size * run, width)
-        return row
+        return float(np.sum(row)) * ((1 << n) // width)
 
-    return _blocks_lp(blocks, 1 << n, p, (1 << n) // width, spread)
+    return _blocks_lp(blocks, 1 << n, p, total)
 
 
 def _block_table(out: np.ndarray, scratch: np.ndarray, half_sib: np.ndarray, own: int,
@@ -313,7 +312,7 @@ def verify_level_bounds(params: ChaosParams, p: float) -> LevelBoundsReport:
     _check_sign_arity(n)
     # a sibling's table reads rows [0, m) over 2**m entries, m <= 16: the
     # m-sign patterns, the same in every sign matrix of at least m rows
-    cols = sign_matrix(min(n, _SIBLING_CAP)).T
+    cols = sign_matrix(min(n, _BLOCK_ARITY)).T
     tree = PartitionTree(n)
     beta, half_beta = params.beta, float(0.5 * params.beta)
     level_values, block_values, work = np.empty((3, 1 << n))

@@ -19,6 +19,18 @@ from stablebounds.oracle import _collapse_lp
 DATA = Path(__file__).parent / "data"
 # a valid learn run but for the setting under test
 LEARN = {"reps": 1000, "grid": {"learner": ["constant"], "n": [10], "delta": [0.1]}}
+BOUNDS = {"grid": {"n": [4], "gamma": ["1/n"], "L": [1], "delta": [0.1]}}
+CHAOS = {"grid": {"n": [4], "M": [1], "beta": [1], "p": [2]}, "min_lower_ratio": 0.02}
+# a small valid config of each command, for the malformed-value sweep
+VALID = {
+    "bounds": BOUNDS,
+    "chaos": CHAOS,
+    "partition": {"grid": CHAOS["grid"]},
+    "tails": {"grid": {"a": [1], "b": [0.5], "p": [2], "delta": [0.1]}},
+    "learn": {"grid": {"learner": ["constant"], "n": [4], "delta": [0.1]}, "reps": 1000,
+              "sandwich_reps": 20, "seed": 1},
+}
+MALFORMED = [None, True, [], {}, "x", [None], [[1]], "12", 1.5, float("nan")]
 
 
 def run_main(args):
@@ -170,13 +182,34 @@ class TestConfigHandling:
         ({"seed": -1, **LEARN}, ["learn"], "seed must lie in [0, 2**64), got -1"),
         (None, ["learn", "--learner", "constant", "--n", "10", "--delta", "0.1",
                 "--reps", "1000", "--seed", "-1"], "seed must lie in [0, 2**64), got -1"),
+        ({"grid": "n"}, ["bounds"], "grid must be a JSON object, got 'n'"),
+        ({"grid": {**CHAOS["grid"], "n": 5}}, ["chaos"],
+         "grid for 'chaos' needs a non-empty list 'n', got 5"),
+        ({"grid": {**CHAOS["grid"], "n": "12"}}, ["chaos"],
+         "grid for 'chaos' needs a non-empty list 'n', got '12'"),
+        ({"grid": {**BOUNDS["grid"], "gamma": [None]}}, ["bounds"],
+         "gamma must be a number, got None"),
+        ({"grid": {**BOUNDS["grid"], "L": [[1]]}}, ["bounds"], "L must be a number, got [1]"),
+        ({"grid": {**BOUNDS["grid"], "n": [True]}}, ["bounds"],
+         "n must be an integer, got True"),
+        ({"grid": {**CHAOS["grid"], "M": [False]}}, ["chaos"], "M must be a number, got False"),
+        ({**CHAOS, "min_lower_ratio": None}, ["chaos"],
+         "min_lower_ratio must be a number, got None"),
+        ({**CHAOS, "min_lower_ratio": "x"}, ["chaos"],
+         "min_lower_ratio must be a number, got 'x'"),
+        ({**CHAOS, "out": 3.5}, ["chaos"], "out must be a path, got 3.5"),
+        ({**CHAOS, "out": 1}, ["chaos"], "out must be a path, got 1"),
+        ({"seed": True, **LEARN}, ["learn"], "seed must be an integer, got True"),
     ], ids=["grid_keys", "degenerate_chaos", "learn_reps", "format", "not_object",
             "unreadable", "gamma_expression", "gamma_value", "format_choice",
             "unknown_flag", "no_command", "non_integer_n", "non_integer_n_config",
             "nan_n_config", "negative_threads", "non_integer_seed", "non_integer_reps",
             "non_integer_threads", "non_integer_sandwich_reps", "text_sandwich_reps",
             "negative_sandwich_reps",
-            "negative_seed_config", "negative_seed_flag"])
+            "negative_seed_config", "negative_seed_flag", "grid_not_object",
+            "axis_not_list", "axis_text", "null_gamma", "nested_L", "boolean_n",
+            "boolean_M", "null_min_lower_ratio", "text_min_lower_ratio", "real_out",
+            "integer_out", "boolean_seed"])
     def test_error_line(self, tmp_path, capsys, config, args, message):
         cfg = tmp_path / "cfg.json"
         if config is not None:
@@ -185,6 +218,33 @@ class TestConfigHandling:
             args = args + ["--config", cfg]
         assert run_main(args) == 1
         assert capsys.readouterr().err == f"error: {message.format(cfg=str(cfg))}\n"
+
+    @pytest.mark.parametrize("command", VALID)
+    def test_no_malformed_value_escapes_main(self, tmp_path, capsys, command):
+        # each setting and grid axis of a valid config in turn takes each
+        # malformed value; ``out`` only values that cannot name a file descriptor
+        valid = {"command": command, "threads": 1, "format": "csv", **VALID[command]}
+        cases = [(key, value) for key in valid for value in MALFORMED]
+        cases += [(("grid", key), value) for key in valid["grid"] for value in MALFORMED]
+        cases += [("out", value) for value in (3.5, [], {}, [None])]
+        cfg = tmp_path / "cfg.json"
+        escaped = []
+        for key, value in cases:
+            config = json.loads(json.dumps(valid))
+            if isinstance(key, tuple):
+                config["grid"][key[1]] = value
+            else:
+                config[key] = value
+            cfg.write_text(json.dumps(config))
+            try:
+                code = run_main([command, "--config", cfg])
+            except Exception as exc:        # recorded, and failed on below
+                code = type(exc).__name__
+            err = capsys.readouterr().err
+            if code not in (0, 1, 2) or (code == 1 and not (
+                    err.startswith("error: ") and err.count("\n") == 1)):
+                escaped.append((key, value, code, err))
+        assert not escaped
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_stdout_equals_out_file(self, tmp_path, capsys, fmt):
@@ -464,6 +524,13 @@ class TestDeterminism:
         monkeypatch.delenv("WORKBENCH_THREADS")
         run_main(args + ["--out", b, "--threads", "1"])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("env", ["0", "-1"])
+    def test_env_threads_below_one_names_the_variable(self, monkeypatch, capsys, env):
+        monkeypatch.setenv("WORKBENCH_THREADS", env)
+        assert run_main(["chaos", "--n", "4", "--M", "1", "--beta", "1", "--p", "2",
+                         "--threads", "0"]) == 1
+        assert capsys.readouterr().err == f"error: WORKBENCH_THREADS must be >= 1, got {env}\n"
 
     def test_provenance_header_on_stochastic_runs(self, tmp_path):
         out = tmp_path / "learn.csv"

@@ -546,10 +546,11 @@ class TestLpNormInput:
 
 
 class TestRepeatedBlock:
-    """A block with ``repeat`` K stands for K copies of it side by side, bit
-    for bit: numpy sums a contiguous float64 row as a pairwise tree of halves
-    down to leaves of 128. The partition verifiers take their periodic rows
-    this way, so a numpy that sums otherwise fails here first."""
+    """A block whose ``total`` is K times its sum stands for K copies of it
+    side by side, bit for bit: numpy sums a contiguous float64 row as a
+    pairwise tree of halves down to leaves of 128. The partition verifiers
+    take their periodic rows this way, so a numpy that sums otherwise fails
+    here first."""
 
     @pytest.mark.parametrize("bits", range(7, 13))
     @pytest.mark.parametrize("repeat", [2, 8, 64])
@@ -564,7 +565,8 @@ class TestRepeatedBlock:
         with np.errstate(over="ignore", under="ignore"):
             powered = float(np.sum(row ** p))
         assert (0 < powered < np.inf) == (p < 100)     # which pass is held
-        value = _blocks_lp(lambda: (v.copy(),), row.size, p, repeat)
+        value = _blocks_lp(lambda: (v.copy(),), row.size, p,
+                           lambda w: float(np.sum(w)) * repeat)
         assert value == lp_norm(row, p)
 
 
